@@ -202,22 +202,23 @@ BENCHMARK(BM_ServerMixedWorkload)->Arg(1)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// Snapshot mechanics: session open (materialization) and commit
-// (publish) cost against database size.
+// Snapshot mechanics at ingest scale: session open (materialization),
+// commit (publish) and refresh cost against database size. The argument
+// is the number of seeded `edge` rows (3 per node).
 
 void BM_SessionOpen(benchmark::State& state) {
   Server server;
-  SeedServer(&server, static_cast<int>(state.range(0)));
+  SeedServer(&server, static_cast<int>(state.range(0) / 3));
   for (auto _ : state) {
     auto session = CheckOk(server.OpenSession(), "open");
     benchmark::DoNotOptimize(session->epoch());
   }
 }
-BENCHMARK(BM_SessionOpen)->Arg(64)->Arg(256);
+BENCHMARK(BM_SessionOpen)->Arg(6000)->Arg(24000);
 
 void BM_CommitPublish(benchmark::State& state) {
   Server server;
-  SeedServer(&server, static_cast<int>(state.range(0)));
+  SeedServer(&server, static_cast<int>(state.range(0) / 3));
   int n = 0;
   for (auto _ : state) {
     CheckOk(server
@@ -229,7 +230,34 @@ void BM_CommitPublish(benchmark::State& state) {
     ++n;
   }
 }
-BENCHMARK(BM_CommitPublish)->Arg(64)->Arg(256);
+BENCHMARK(BM_CommitPublish)->Arg(6000)->Arg(24000);
+
+/// A long-lived session catching up with one 8-fact commit that interns
+/// fresh node names (the ingest workload's write), after a bound query
+/// built an index over `edge`. Only the Refresh is timed.
+void BM_SessionRefresh(benchmark::State& state) {
+  Server server;
+  SeedServer(&server, static_cast<int>(state.range(0) / 3));
+  auto session = CheckOk(server.OpenSession(), "open");
+  QueryRequest req = QueryRequest::GraphLog(
+      "query reach { edge \"n1\" -> Y : edge+; "
+      "distinguished \"n1\" -> Y : reach; }");
+  req.options.translation.specialize_bound_closures = true;
+  CheckOk(session->Run(req).status(), "read");
+  int n = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    WriteBatch batch;
+    for (int i = 0; i < 8; ++i, ++n) {
+      batch.Insert("edge", {"f" + std::to_string(n), "n" + std::to_string(i)});
+    }
+    CheckOk(server.Apply(batch).status(), "commit");
+    state.ResumeTiming();
+    CheckOk(session->Refresh(), "refresh");
+    benchmark::DoNotOptimize(session->epoch());
+  }
+}
+BENCHMARK(BM_SessionRefresh)->Arg(6000)->Arg(24000);
 
 }  // namespace
 

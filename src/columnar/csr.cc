@@ -42,7 +42,7 @@ Result<Csr> BuildCsr(const Relation& rel, obs::MetricsRegistry* metrics,
   csr.source_data_generation = rel.data_generation();
   csr.source_size = rel.size();
 
-  const std::vector<Tuple>& rows = rel.rows();
+  const storage::RowsView rows = rel.rows();
   const auto n_edges = static_cast<uint32_t>(rows.size());
   csr.ids.reserve(rows.size());
   auto intern = [&csr](const Value& v) -> uint32_t {

@@ -12,8 +12,7 @@
 //
 // kLoadFile records replay from the bytes the original commit read —
 // recovery NEVER re-reads a path from disk, so files edited or deleted
-// after the commit cannot change what replays (the same contract session
-// fast-forward already honors).
+// after the commit cannot change what replays.
 //
 // Crash anatomy, applied when scanning the log (ScanWal):
 //

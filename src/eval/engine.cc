@@ -364,15 +364,12 @@ class Engine {
 
   Status SemiNaiveFixpoint(const std::vector<int>& rec_rules,
                            const std::set<Symbol>& local_idbs) {
-    // delta[p] starts as everything currently known for p. Relations are
-    // emplaced empty and filled in place so no populated relation is ever
-    // moved.
+    // delta[p] starts as everything currently known for p: a relation
+    // sharing p's rows, so seeding costs O(chunks) however much p already
+    // holds (a long-lived session's earlier results included).
     std::map<Symbol, Relation> delta;
     for (Symbol p : local_idbs) {
-      const Relation* full = db_->Find(p);
-      auto [it, inserted] = delta.emplace(p, Relation(full->arity()));
-      (void)inserted;
-      it->second.InsertAll(*full);
+      delta.emplace(p, Relation::SharingRows(*db_->Find(p)));
     }
 
     bool any_delta = true;
@@ -556,6 +553,10 @@ class Engine {
       TaskState& st = states[t];
       st.rule = &compiled_.at(task.rule);
       st.head_rel = db_->Find(st.rule->head_predicate());
+      // The lanes test derivations against the frozen head relation; its
+      // dedup set may lag its rows (a shared copy, an AppendUnique load),
+      // so catch it up here to keep those Contains() calls pure reads.
+      if (st.head_rel != nullptr) st.head_rel->SyncDedup();
       st.resolver = MakeResolver(task, delta);
       // Pre-build every index the plan probes so the fan-out below only
       // reads relation state. Unconditional (also on the serial path) so

@@ -22,6 +22,10 @@
 //   --deadline-ms N     default per-request deadline, 0 = none
 //   --max-rows N        default per-request result-row budget, 0 = none
 
+#if __has_include(<malloc.h>)
+#include <malloc.h>
+#endif
+
 #include <chrono>
 #include <csignal>
 #include <cstdint>
@@ -66,6 +70,14 @@ bool ParseUint(const char* s, uint64_t* out) {
 
 int main(int argc, char** argv) {
   using namespace graphlog;
+#ifdef M_MXFAST
+  // A closed session frees its materialized results as many small blocks.
+  // glibc parks those in per-arena fastbins until some later large free
+  // consolidates them all at once, which lands on the next connection's
+  // first query (connections reuse the exited threads' arenas). Without
+  // fastbins the blocks coalesce as they are freed, inside the close.
+  mallopt(M_MXFAST, 0);
+#endif
 
   uint64_t port = 4242;
   std::string dir;

@@ -37,8 +37,8 @@
 // WriteBatches reuse the durability layer's BatchCodec for their wire
 // body. kLoadFile ops never cross the wire: the Client captures the
 // file's bytes locally and ships them as a kFacts op (the same
-// capture-at-source contract WAL replay and session fast-forward
-// honor), and the server rejects any kLoadFile op it receives — a
+// capture-at-source contract WAL replay honors), and the server
+// rejects any kLoadFile op it receives — a
 // remote path name must never be read on the server's filesystem.
 
 #ifndef GRAPHLOG_NET_PROTOCOL_H_

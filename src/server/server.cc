@@ -176,17 +176,17 @@ Result<std::unique_ptr<Session>> Server::OpenSession(SessionOptions opts) {
                      session_seq_.fetch_add(1, std::memory_order_relaxed) + 1);
   }
   std::unique_ptr<Session> s(new Session(this, std::move(opts), std::move(name)));
+  obs::MetricsRegistry* defaults = s->opts_.defaults.observability.metrics;
+  s->metrics_ = Session::Metrics::Resolve(
+      defaults != nullptr ? defaults : opts_.metrics, s->name_);
   if (opts_.metrics != nullptr) {
+    s->refreshes_counter_ =
+        opts_.metrics->counter("session." + s->name_ + ".refreshes");
     opts_.metrics->counter("server.sessions_opened")->Increment();
     opts_.metrics->gauge("server.sessions")
         ->Set(static_cast<int64_t>(open_sessions()));
   }
   return s;
-}
-
-Result<size_t> Server::Apply(const WriteBatch& batch,
-                             const gov::GovernorContext* governor) {
-  return ApplyInternal(batch, governor, nullptr, nullptr, nullptr);
 }
 
 void Server::ReleaseSession() {
@@ -197,13 +197,9 @@ void Server::ReleaseSession() {
   }
 }
 
-Result<size_t> Server::ApplyInternal(const WriteBatch& batch,
-                                     const gov::GovernorContext* governor,
-                                     uint64_t* base_epoch,
-                                     uint64_t* committed_epoch,
-                                     std::vector<std::string>* capture_files) {
+Result<size_t> Server::Apply(const WriteBatch& batch,
+                             const gov::GovernorContext* governor) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (base_epoch != nullptr) *base_epoch = epoch();
   // A batch without its own governor still honors the server-armed fault
   // injector (deterministic io.load failures in tests and the shell).
   gov::GovernorContext local;
@@ -211,9 +207,9 @@ Result<size_t> Server::ApplyInternal(const WriteBatch& batch,
     local.faults = opts_.faults;
     governor = &local;
   }
-  // kLoadFile contents are captured unconditionally: every replay
-  // consumer — session fast-forward and the WAL — applies the exact
-  // bytes this commit read, never a path re-read from disk.
+  // kLoadFile contents are captured for the WAL record, so recovery
+  // applies the exact bytes this commit read, never a path re-read from
+  // disk.
   std::vector<std::string> files;
   BatchUndo undo;
   Result<size_t> applied =
@@ -238,13 +234,11 @@ Result<size_t> Server::ApplyInternal(const WriteBatch& batch,
     }
   }
   GRAPHLOG_RETURN_NOT_OK(applied.status());
-  if (capture_files != nullptr) *capture_files = std::move(files);
   if (attached_) {
     epoch_.fetch_add(1, std::memory_order_acq_rel);
   } else {
     RebuildHeadLocked();
   }
-  if (committed_epoch != nullptr) *committed_epoch = epoch();
   return applied;
 }
 
@@ -266,14 +260,9 @@ void Server::RebuildHeadLocked() {
   next->epoch = prev == nullptr
                     ? epoch_.load(std::memory_order_relaxed)
                     : epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  const SymbolTable& syms = db_->symbols();
-  // The symbol table is grow-only, so equal size means identical content
-  // and the previous snapshot's table can be shared.
-  if (prev != nullptr && prev->symbols->size() == syms.size()) {
-    next->symbols = prev->symbols;
-  } else {
-    next->symbols = std::make_shared<const SymbolTable>(syms.Clone());
-  }
+  // Freezing moves only the symbols interned since the last publish into
+  // the shared prefix; with none, the previous prefix is reused.
+  next->symbols = db_->symbols().Freeze();
   size_t copied = 0;
   for (const auto& [sym, rel] : db_->relations()) {
     std::shared_ptr<const Relation> ver;
@@ -284,12 +273,10 @@ void Server::RebuildHeadLocked() {
       }
     }
     if (ver == nullptr) {
-      auto copy = std::make_shared<Relation>(rel);
-      // Versions are logical contents; indexes rebuild lazily wherever
-      // the version is materialized (DropIndexes bumps only the
-      // structural generation, never the data stamp).
-      copy->DropIndexes();
-      ver = std::move(copy);
+      // Shares the live relation's row chunks; the next write to the live
+      // relation copies at most its last chunk. Indexes and the dedup set
+      // stay behind and rebuild lazily wherever the version is read.
+      ver = std::make_shared<const Relation>(rel);
       ++copied;
     }
     next->relations.emplace(sym, std::move(ver));
@@ -347,9 +334,9 @@ Result<size_t> Server::ApplyBatchTo(
             return storage::LoadFacts((*replay_files)[file_idx], db,
                                       governor);
           }
-          // Live load always reads the raw contents back out — replay,
-          // wherever it happens (session fast-forward, WAL recovery),
-          // is from these captured bytes; there is no path-based replay.
+          // Live load always reads the raw contents back out — WAL
+          // recovery replays these captured bytes; there is no
+          // path-based replay.
           std::string contents;
           Result<size_t> loaded =
               storage::LoadFactsFile(op.text, db, governor, &contents);
@@ -391,7 +378,7 @@ Result<size_t> Server::ApplyBatchTo(
           // its pre-batch size and stamp undoes them — rollback must
           // never reinstate in-batch inserts.
           const auto& pre = pre_state.find(s)->second;
-          Relation saved(*rel);
+          Relation saved(*rel);  // shares rows: O(chunks)
           if (saved.size() > pre.first) saved.TruncateTo(pre.first);
           saved.RestoreDataGeneration(pre.second);
           cleared.emplace(s, std::move(saved));
@@ -455,14 +442,14 @@ void Session::Materialize(const std::shared_ptr<const Snapshot>& snap) {
   // session's result-cache entries off from every other database, and
   // session-local symbol ids can never leak into them.
   owned_db_ = Database();
-  owned_db_.symbols() = snap->symbols->Clone();
+  owned_db_.symbols() = SymbolTable(snap->symbols);
   for (const auto& [sym, ver] : snap->relations) {
-    // Copies keep the server-issued uid and data stamp, so stamp-keyed
-    // caches validate within the session exactly as on the server.
+    // Copies share the version's rows and keep the server-issued uid and
+    // data stamp, so stamp-keyed caches validate within the session
+    // exactly as on the server.
     owned_db_.relations().emplace(sym, *ver);
   }
   db_ = &owned_db_;
-  base_symbols_ = snap->symbols->size();
   epoch_ = snap->epoch;
 }
 
@@ -471,34 +458,32 @@ Status Session::Refresh() {
   std::shared_ptr<const Snapshot> snap = server_->head();
   if (snap->epoch == epoch_) return Status::OK();
   ++stats_.refreshes;
-  if (server_->metrics() != nullptr) {
-    server_->metrics()->counter("session." + name_ + ".refreshes")
-        ->Increment();
-  }
-  if (snap->symbols->size() != base_symbols_) {
-    // The server interned new symbols since this session materialized;
-    // their ids may collide with session-local ones, so the private
-    // database rebuilds from scratch (session materializations drop).
+  if (refreshes_counter_ != nullptr) refreshes_counter_->Increment();
+  if (!db_->symbols().Rebase(snap->symbols)) {
+    // A newly committed server symbol spells the same string as one this
+    // session interned locally: two ids would name one string, so the
+    // private database rebuilds from scratch (session materializations
+    // drop).
     Materialize(snap);
     return Status::OK();
   }
-  // In-place fast path: the symbol space is unchanged, so EDB versions
-  // swap in directly and session-local relations (materialized IDB
-  // results) survive — grow-only semantics, same as re-running against a
-  // single long-lived Database.
+  // In place: session-local symbol ids lie outside the server's range, so
+  // EDB versions swap in directly and session-local relations
+  // (materialized IDB results) survive — grow-only semantics, same as
+  // re-running against a single long-lived Database.
   for (const auto& [sym, ver] : snap->relations) {
     auto it = db_->relations().find(sym);
     if (it == db_->relations().end()) {
       db_->relations().emplace(sym, *ver);
-    } else if (!SameVersion(it->second, *ver)) {
-      db_->relations().insert_or_assign(sym, *ver);
+    } else if (!SameVersion(it->second, *ver) && !it->second.CatchUp(*ver)) {
+      it->second = *ver;
     }
   }
   // Server-prefix relations the new head no longer carries were removed
   // server-side; drop them so this session stops serving deleted EDBs.
-  // Session-local relations (symbol ids >= base_symbols_) survive.
+  // Session-local relations (symbol ids >= kLocalSymbolBase) survive.
   for (auto it = db_->relations().begin(); it != db_->relations().end();) {
-    if (it->first < base_symbols_ &&
+    if (it->first < kLocalSymbolBase &&
         snap->relations.count(it->first) == 0) {
       it = db_->relations().erase(it);
     } else {
@@ -511,35 +496,28 @@ Status Session::Refresh() {
 
 Result<size_t> Session::Apply(const WriteBatch& batch,
                               const gov::GovernorContext* governor) {
-  uint64_t base = 0;
-  uint64_t committed = 0;
-  // File contents the committed apply reads are captured so the replay
-  // below applies the exact same bytes — never a file that changed on
-  // disk between the commit and the replay (the commit path captures
-  // unconditionally; this just asks for the copies).
-  std::vector<std::string> loaded_files;
-  GRAPHLOG_ASSIGN_OR_RETURN(
-      size_t facts,
-      server_->ApplyInternal(batch, governor, &base, &committed,
-                             &loaded_files));
+  GRAPHLOG_ASSIGN_OR_RETURN(size_t facts, server_->Apply(batch, governor));
   ++stats_.writes;
-  if (attached_) return facts;
-  if (epoch_ == base) {
-    // Fast-forward: no other writer intervened, so replaying the same
-    // committed ops onto the private database reproduces the published
-    // contents in this session's symbol space — stamps advance by the
-    // same deterministic arithmetic, session materializations survive.
-    // A replay failure (e.g. an arity clash with a session-local
-    // relation shadowing a new server one) falls back to a full rebuild.
-    Result<size_t> replay =
-        Server::ApplyBatchTo(batch, db_, nullptr, nullptr, &loaded_files);
-    if (replay.ok()) {
-      epoch_ = committed;
-      return facts;
-    }
-  }
   GRAPHLOG_RETURN_NOT_OK(Refresh());
   return facts;
+}
+
+Session::Metrics Session::Metrics::Resolve(obs::MetricsRegistry* registry,
+                                           const std::string& session_name) {
+  Metrics m;
+  m.registry = registry;
+  if (registry == nullptr) return m;
+  const std::string p = "session." + session_name + ".";
+  m.server_queries = registry->counter("server.queries");
+  m.queries = registry->counter(p + "queries");
+  m.errors = registry->counter(p + "errors");
+  m.cache_hits = registry->counter(p + "cache_hits");
+  m.truncated = registry->counter(p + "truncated");
+  m.profile_runs = registry->counter(p + "profile.runs");
+  m.profile_rounds = registry->counter(p + "profile.rounds");
+  m.duration_ns = registry->histogram(p + "duration_ns");
+  m.epoch = registry->gauge(p + "epoch");
+  return m;
 }
 
 Result<QueryResponse> Session::Run(QueryRequest req) {
@@ -609,22 +587,23 @@ Result<QueryResponse> Session::Run(QueryRequest req) {
   ++stats_.queries;
   if (!resp.ok()) ++stats_.errors;
   if (resp.ok() && resp->cache_hit) ++stats_.cache_hits;
-  if (obs::MetricsRegistry* m = o.observability.metrics; m != nullptr) {
-    m->counter("server.queries")->Increment();
-    const std::string p = "session." + name_ + ".";
-    m->counter(p + "queries")->Increment();
-    if (!resp.ok()) m->counter(p + "errors")->Increment();
-    if (resp.ok() && resp->cache_hit) m->counter(p + "cache_hits")->Increment();
-    if (resp.ok() && resp->truncated) m->counter(p + "truncated")->Increment();
+  if (obs::MetricsRegistry* r = o.observability.metrics; r != nullptr) {
+    // A request naming a registry of its own resolves handles there.
+    const Metrics m = r == metrics_.registry ? metrics_
+                                              : Metrics::Resolve(r, name_);
+    m.server_queries->Increment();
+    m.queries->Increment();
+    if (!resp.ok()) m.errors->Increment();
+    if (resp.ok() && resp->cache_hit) m.cache_hits->Increment();
+    if (resp.ok() && resp->truncated) m.truncated->Increment();
     if (resp.ok() && !resp->profile.empty()) {
       // EXPLAIN ANALYZE usage per session: how often, and how much work
       // the profiled queries covered (deterministic logical counts).
-      m->counter(p + "profile.runs")->Increment();
-      m->counter(p + "profile.rounds")
-          ->Add(static_cast<int64_t>(resp->profile.rounds.size()));
+      m.profile_runs->Increment();
+      m.profile_rounds->Add(static_cast<int64_t>(resp->profile.rounds.size()));
     }
-    m->histogram(p + "duration_ns")->Observe(duration_ns);
-    m->gauge(p + "epoch")->Set(static_cast<int64_t>(epoch()));
+    m.duration_ns->Observe(duration_ns);
+    m.epoch->Set(static_cast<int64_t>(epoch()));
   }
   return resp;
 }

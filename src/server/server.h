@@ -12,18 +12,22 @@
 //     the pair (uid, data_generation) is a stamp that names one immutable
 //     version of one relation's contents, forever.
 //   * A Snapshot is an immutable map relation-name -> shared stamped
-//     version plus the symbol table at commit time. Publishing a snapshot
-//     retains the versions of untouched relations from the previous one
-//     (copy-on-write at commit granularity) and copies only what the
-//     batch changed.
+//     version plus the frozen symbol prefix at commit time. Publishing a
+//     snapshot retains the versions of untouched relations from the
+//     previous one and makes a new version only of what the batch
+//     changed. A new version shares every row chunk with the live
+//     relation (storage/relation.h), and the prefix shares every symbol
+//     segment with the previous one (common/symbol_table.h), so a publish
+//     costs O(rows and symbols the batch added), not O(database).
 //   * A Server owns the authoritative Database. Writers submit atomic
 //     WriteBatches: under the commit lock the batch applies all-or-nothing
 //     (a failure rolls every op back and publishes nothing), then the
 //     server epoch bumps and a new head snapshot is published. Readers
 //     never touch the authoritative Database.
 //   * A Session pins a snapshot by materializing a private Database from
-//     it: a clone of the snapshot's symbol table plus copies of the
-//     version relations, which keep their server-issued uids and stamps —
+//     it: a symbol table over the snapshot's shared prefix plus
+//     chunk-sharing copies of the version relations, which keep their
+//     server-issued uids and stamps —
 //     so the result cache and CSR cache invalidate correctly inside the
 //     session, and a pinned session is immune to later commits until it
 //     Refresh()es. Queries run through the unchanged single-caller
@@ -31,12 +35,12 @@
 //     full engine (parallel lanes, columnar path, result cache, views)
 //     under isolation for free.
 //
-// Sessions intern query-local symbols (variable names, fresh auxiliary
-// predicates) into their private tables after cloning, so symbol ids
-// diverge across sessions beyond the shared server prefix. Everything
-// keyed across sessions therefore scopes by Database::uid (the result
-// cache already does) or stays per-session (each Session owns its CSR
-// cache).
+// Sessions intern query-local symbols (variable names, query constants,
+// fresh auxiliary predicates) into their private tables from
+// kLocalSymbolBase up, a range the server never issues, so symbol ids
+// diverge across sessions only there. Everything keyed across sessions
+// therefore scopes by Database::uid (the result cache already does) or
+// stays per-session (each Session owns its CSR cache).
 //
 // Concurrency contract: Server is thread-safe (one writer at a time
 // serializes on the commit lock; head() is a cheap pointer load under its
@@ -77,6 +81,12 @@ struct BatchCodec;  // durability/wal.h: WAL wire format for WriteBatch
 class Wal;
 }  // namespace durability
 
+namespace obs {
+class Counter;        // obs/metrics.h
+class Gauge;          // obs/metrics.h
+class HistogramCell;  // obs/metrics.h
+}  // namespace obs
+
 namespace net {
 struct WireBatchAccess;  // net/protocol.h: batch translation for the wire
 }  // namespace net
@@ -84,16 +94,17 @@ struct WireBatchAccess;  // net/protocol.h: batch translation for the wire
 /// \brief An immutable view of the database as of one committed epoch.
 ///
 /// Shared versions: relations a commit does not touch are carried over
-/// from the previous snapshot by shared_ptr, so retaining N epochs costs
-/// only the relations that actually changed between them. Version
-/// relations are stored index-free (indexes rebuild lazily inside the
-/// session that materializes them).
+/// from the previous snapshot by shared_ptr, and a changed relation's new
+/// version shares its row chunks with the old one, so retaining N epochs
+/// costs only the rows that actually changed between them. Version
+/// relations carry no indexes or dedup set (they rebuild lazily inside
+/// the session that materializes them).
 struct Snapshot {
   uint64_t epoch = 0;
-  /// The server's symbol table at publish time (shared with later
-  /// snapshots until the table grows). Grow-only, so every Symbol a
-  /// version relation's rows reference resolves here.
-  std::shared_ptr<const SymbolTable> symbols;
+  /// The server's symbols at publish time (shared with later snapshots
+  /// and every session). Grow-only, so every Symbol a version relation's
+  /// rows reference resolves here.
+  std::shared_ptr<const SymbolPrefix> symbols;
   std::map<Symbol, std::shared_ptr<const storage::Relation>> relations;
 };
 
@@ -298,15 +309,13 @@ class Server {
   /// Applies every op of `batch` to `db` all-or-nothing; on failure the
   /// database is restored (created relations removed, grown relations
   /// truncated, cleared relations reinstated from copies) and the error
-  /// returned. Static so Session fast-forward replays reuse it.
-  /// `capture_files` (when non-null) receives the raw text of every
-  /// kLoadFile op, in op order; `replay_files` (when non-null) supplies
-  /// those texts back so a replay applies the exact bytes the original
-  /// commit read instead of re-reading files that may have changed on
-  /// disk since. Every replay consumer — session fast-forward and WAL
-  /// recovery alike — goes through captured bytes; there is no
-  /// path-based replay. `undo` (when non-null) receives, on success, the
-  /// rollback state for UndoBatch.
+  /// returned. Static so WAL recovery reuses it. `capture_files` (when
+  /// non-null) receives the raw text of every kLoadFile op, in op order,
+  /// for the WAL record; `replay_files` (when non-null) supplies those
+  /// texts back so recovery applies the exact bytes the original commit
+  /// read instead of re-reading files that may have changed on disk
+  /// since. `undo` (when non-null) receives, on success, the rollback
+  /// state for UndoBatch.
   static Result<size_t> ApplyBatchTo(
       const WriteBatch& batch, storage::Database* db,
       const gov::GovernorContext* governor,
@@ -314,15 +323,10 @@ class Server {
       const std::vector<std::string>* replay_files = nullptr,
       BatchUndo* undo = nullptr);
 
-  Result<size_t> ApplyInternal(const WriteBatch& batch,
-                               const gov::GovernorContext* governor,
-                               uint64_t* base_epoch,
-                               uint64_t* committed_epoch,
-                               std::vector<std::string>* capture_files);
-
   /// Builds and installs a new head snapshot from the authoritative
   /// state, reusing the previous snapshot's versions for every relation
-  /// whose (uid, data_generation, size) stamp is unchanged. mu_ held.
+  /// whose (uid, data_generation, size) stamp is unchanged and freezing
+  /// the symbols interned since the last publish. mu_ held.
   void RebuildHeadLocked();
 
   void ReleaseSession();
@@ -348,9 +352,10 @@ class Server {
 /// \brief A client handle: a pinned snapshot to query plus a write door.
 ///
 /// Owning-mode sessions materialize a private Database from the snapshot
-/// (fresh Database::uid per materialization; relation copies keep their
-/// server stamps) and stay pinned until Refresh() or a write of their
-/// own. Attached-mode sessions share the server's Database.
+/// (fresh Database::uid per materialization; relation copies share the
+/// version's rows and keep its server stamps) and stay pinned until
+/// Refresh() or a write of their own. Attached-mode sessions share the
+/// server's Database.
 class Session {
  public:
   ~Session();
@@ -365,21 +370,19 @@ class Session {
   /// cancellation token. Results materialize into the session database.
   Result<QueryResponse> Run(QueryRequest req);
 
-  /// \brief Commits `batch` through the server, then brings this session
-  /// to the committed epoch: when no other writer intervened and the ops
-  /// replay cleanly onto the private database (the common case), the
-  /// session fast-forwards in place — session-materialized IDB results
-  /// survive, and replayed relations advance to stamps matching the
-  /// published versions; otherwise the session fully Refresh()es.
+  /// \brief Commits `batch` through the server (Server::Apply), then
+  /// Refresh()es, so the session lands on the head, at or after its own
+  /// commit.
   Result<size_t> Apply(const WriteBatch& batch,
                        const gov::GovernorContext* governor = nullptr);
 
   /// \brief Re-pins to the latest head snapshot. Cheap no-op when already
-  /// current. When the server symbol table grew past this session's base
-  /// prefix, the private database is rebuilt from scratch (fresh uid;
-  /// session-local materializations dropped — their symbol ids could
-  /// collide with the server's new ones); otherwise EDB copies update in
-  /// place and session-local relations survive. No-op when attached.
+  /// current. Updates in place: the symbol table moves onto the new
+  /// prefix, changed EDB versions swap in (sharing their rows), and
+  /// session-local relations survive — O(what changed). Only when a newly
+  /// committed server symbol has the same string as one this session
+  /// interned locally is the private database rebuilt from scratch (fresh
+  /// uid; session-local materializations dropped). No-op when attached.
   Status Refresh();
 
   /// \brief Requests cancellation of the in-flight (or next) governed
@@ -417,9 +420,26 @@ class Session {
   friend class Server;
   Session(Server* server, SessionOptions opts, std::string name);
 
-  /// Rebuilds the private database from `snap`: fresh Database, cloned
-  /// symbol table, copied version relations.
+  /// Rebuilds the private database from `snap`: fresh Database, a symbol
+  /// table over the snapshot's prefix, copied version relations.
   void Materialize(const std::shared_ptr<const Snapshot>& snap);
+
+  /// Metric handles for "session.<name>.*" (plus server.queries) in one
+  /// registry, resolved once so queries skip the registry's lock.
+  struct Metrics {
+    obs::MetricsRegistry* registry = nullptr;
+    obs::Counter* server_queries = nullptr;
+    obs::Counter* queries = nullptr;
+    obs::Counter* errors = nullptr;
+    obs::Counter* cache_hits = nullptr;
+    obs::Counter* truncated = nullptr;
+    obs::Counter* profile_runs = nullptr;
+    obs::Counter* profile_rounds = nullptr;
+    obs::HistogramCell* duration_ns = nullptr;
+    obs::Gauge* epoch = nullptr;
+    static Metrics Resolve(obs::MetricsRegistry* registry,
+                           const std::string& session_name);
+  };
 
   Server* server_;
   SessionOptions opts_;
@@ -428,9 +448,11 @@ class Session {
   storage::Database owned_db_;
   storage::Database* db_;
   uint64_t epoch_ = 0;
-  /// Size of the server symbol-table prefix the private table was cloned
-  /// from; ids >= this are session-local and gate in-place refresh.
-  size_t base_symbols_ = 0;
+  /// Handles in the registry queries report to by default (session
+  /// defaults, else the server's).
+  Metrics metrics_;
+  /// "session.<name>.refreshes" in the server's registry (null: none).
+  obs::Counter* refreshes_counter_ = nullptr;
   gov::CancellationToken cancel_;
   columnar::CsrCache csr_cache_;
   Stats stats_;

@@ -29,7 +29,7 @@ void RelationStats::Absorb(const Relation& r, size_t from) {
     counts_.assign(arity, Counts());
     max_group_.assign(arity, 0);
   }
-  const std::vector<Tuple>& rows = r.rows();
+  const RowsView rows = r.rows();
   for (size_t i = from; i < rows.size(); ++i) {
     const Tuple& t = rows[i];
     for (size_t c = 0; c < arity; ++c) {

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "common/result.h"
 #include "common/status.h"
 #include "common/strings.h"
@@ -105,6 +109,53 @@ TEST(SymbolTableTest, FreshAvoidsCollisions) {
   EXPECT_NE(t.name(b), "aux");
   Symbol c = t.Fresh("aux");
   EXPECT_NE(b, c);
+}
+
+TEST(SymbolTableTest, FreezeKeepsIdsAndSharesThePrefix) {
+  SymbolTable server;
+  std::vector<Symbol> ids;
+  // Many small freezes, as one publish per commit makes: every id keeps
+  // its string, and the prefix stays readable through both lookups.
+  for (int i = 0; i < 300; ++i) {
+    ids.push_back(server.Intern("s" + std::to_string(i)));
+    if (i % 3 == 2) server.Freeze();
+  }
+  std::shared_ptr<const SymbolPrefix> prefix = server.Freeze();
+  ASSERT_EQ(prefix->size(), 300u);
+  EXPECT_EQ(server.Freeze(), prefix);  // nothing new: the same prefix
+  for (int i = 0; i < 300; ++i) {
+    EXPECT_EQ(ids[i], static_cast<Symbol>(i));
+    EXPECT_EQ(server.name(ids[i]), "s" + std::to_string(i));
+    EXPECT_EQ(prefix->name(ids[i]), "s" + std::to_string(i));
+    EXPECT_EQ(prefix->Lookup("s" + std::to_string(i)), ids[i]);
+  }
+  // Interning continues densely after the frozen prefix.
+  EXPECT_EQ(server.Intern("next"), 300u);
+}
+
+TEST(SymbolTableTest, SessionTableInternsOutsideTheServerRange) {
+  SymbolTable server;
+  const Symbol a = server.Intern("a");
+  SymbolTable session(server.Freeze());
+  EXPECT_EQ(session.Intern("a"), a);  // prefix symbols resolve in place
+  const Symbol x = session.Intern("X");
+  EXPECT_GE(x, kLocalSymbolBase);
+  EXPECT_EQ(session.name(x), "X");
+  EXPECT_TRUE(session.Contains(x));
+  EXPECT_EQ(server.Lookup("X"), kNoSymbol);
+
+  // The server grows; the session moves onto the newer prefix in place.
+  const Symbol b = server.Intern("b");
+  ASSERT_TRUE(session.Rebase(server.Freeze()));
+  EXPECT_EQ(session.Lookup("b"), b);
+  EXPECT_EQ(session.Lookup("X"), x);
+  EXPECT_EQ(session.name(b), "b");
+
+  // A server symbol spelled like a session-local one refuses the rebase
+  // and leaves the session table as it was.
+  server.Intern("X");
+  EXPECT_FALSE(session.Rebase(server.Freeze()));
+  EXPECT_EQ(session.Lookup("X"), x);
 }
 
 TEST(ValueTest, Kinds) {

@@ -11,8 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <set>
@@ -24,7 +27,9 @@
 #include "gov/fault_injection.h"
 #include "graphlog/api.h"
 #include "obs/metrics.h"
+#include "server/server.h"
 #include "storage/io.h"
+#include "testing/crash_sweep.h"
 #include "tests/test_util.h"
 
 namespace graphlog {
@@ -233,13 +238,14 @@ TEST(ServerIsolationTest, WriterSessionFastForwardsInPlace) {
   const uint64_t uid_before = session->database().uid();
   ASSERT_NE(session->database().Find("tc"), nullptr);
 
-  // The session's own write fast-forwards: same private database (uid
-  // unchanged), materialized `tc` survives, epoch reaches the commit.
+  // The session's own write lands in place (commit, then an in-place
+  // Refresh): same private database (uid unchanged), materialized `tc`
+  // survives, epoch reaches the commit.
   ASSERT_OK(session->Apply(WriteBatch().Insert("edge", {"e", "f"})).status());
   EXPECT_EQ(session->epoch(), server.epoch());
   EXPECT_EQ(session->database().uid(), uid_before);
   EXPECT_NE(session->database().Find("tc"), nullptr);
-  // And the replayed relation's stamp matches the published version, so
+  // And the refreshed relation's stamp matches the published version, so
   // stamp-keyed caches stay coherent.
   Symbol edge_sym = server.database().symbols().Lookup("edge");
   auto head = server.head();
@@ -254,19 +260,20 @@ TEST(ServerIsolationTest, WriterSessionFastForwardsInPlace) {
             QuiescedTc(std::string(kSeedFacts) + "edge(e, f).\n"));
 }
 
-TEST(ServerIsolationTest, RefreshAcrossSymbolGrowthRebuilds) {
+TEST(ServerIsolationTest, RefreshAcrossSymbolGrowthStaysInPlace) {
   Server server;
   ASSERT_OK(server.Apply(WriteBatch().Facts(kSeedFacts)).status());
   ASSERT_OK_AND_ASSIGN(auto session, server.OpenSession());
   // The session interns local symbols (variables, aux predicates)...
   ASSERT_OK(session->Run(QueryRequest::GraphLog(kTcQuery)).status());
   const uint64_t uid_before = session->database().uid();
-  // ...then a foreign commit interns brand-new server symbols. The ids
-  // would collide with the session's local ones, so Refresh must rebuild
-  // the private database instead of patching in place.
+  // ...then a foreign commit interns brand-new server symbols. Local ids
+  // live outside the server's range, so Refresh patches in place: same
+  // private database, session materializations kept.
   ASSERT_OK(server.Apply(WriteBatch().Facts("owns(alice, fido).\n")).status());
   ASSERT_OK(session->Refresh());
-  EXPECT_NE(session->database().uid(), uid_before);
+  EXPECT_EQ(session->database().uid(), uid_before);
+  EXPECT_NE(session->database().Find("tc"), nullptr);
   EXPECT_EQ(RelationSet(session->database(), "owns"),
             std::set<std::string>{"alice,fido"});
   ASSERT_OK(session->Run(QueryRequest::GraphLog(kTcQuery)).status());
@@ -303,9 +310,8 @@ TEST(ServerIsolationTest, LoadFileFastForwardMatchesPublishedVersion) {
   ASSERT_OK(session->Run(QueryRequest::GraphLog(kTcQuery)).status());
   const uint64_t uid_before = session->database().uid();
 
-  // A LoadFile batch fast-forwards by replaying the captured file
-  // contents (never re-reading disk), so the session relation must land
-  // on the same stamp AND the same rows as the published head version.
+  // After a LoadFile batch the session refreshes in place onto the
+  // published head version: the same stamp AND the same rows.
   ASSERT_OK(session->Apply(WriteBatch().LoadFile(path)).status());
   EXPECT_EQ(session->database().uid(), uid_before);
   EXPECT_EQ(session->epoch(), server.epoch());
@@ -319,6 +325,187 @@ TEST(ServerIsolationTest, LoadFileFastForwardMatchesPublishedVersion) {
   EXPECT_EQ(RelationSet(session->database(), "edge"),
             RelationSet(server.database(), "edge"));
   std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// In-place refresh: the long-lived session equals a fresh one
+
+/// Text of every relation `reference` holds, rendered from `db` by name.
+std::string RelationsText(const Database& db, const Database& reference) {
+  std::string out;
+  for (const auto& [sym, rel] : reference.relations()) {
+    const std::string& name = reference.symbols().name(sym);
+    const Symbol local = db.symbols().Lookup(name);
+    out += name + ":\n";
+    out += local == kNoSymbol ? "<missing>\n" : db.RelationToString(local);
+  }
+  return out;
+}
+
+TEST(ServerRefreshTest, InPlaceRefreshMatchesFreshSessionUnderTwoWriters) {
+  Server server;
+  ASSERT_OK(server.Apply(WriteBatch().Facts(kSeedFacts)).status());
+  ASSERT_OK_AND_ASSIGN(auto session, server.OpenSession());
+  // Session-local symbols: variables, aux predicates, and query-only
+  // constants the writers never commit.
+  ASSERT_OK(session->Run(QueryRequest::GraphLog(kTcQuery)).status());
+  session->database().Intern("only_in_session");
+  const uint64_t uid = session->database().uid();
+
+  // 2 writers x 100 commits, each interning fresh node names; every
+  // tenth commit also starts a fresh relation.
+  constexpr int kCommitsPerWriter = 100;
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < 2; ++w) {
+    writers.emplace_back([&, w] {
+      for (int i = 0; i < kCommitsPerWriter; ++i) {
+        const std::string node =
+            "w" + std::to_string(w) + "_" + std::to_string(i);
+        WriteBatch batch;
+        batch.Insert("edge", {node, i % 2 == 0 ? "a" : "c"});
+        if (i % 10 == 0) batch.Insert("tag" + node, {node});
+        if (!server.Apply(batch).ok()) failed.store(true);
+      }
+    });
+  }
+  // Refresh concurrently, comparing against a fresh session whenever
+  // both land on the same epoch.
+  auto compare = [&](bool must_match_epoch) {
+    ASSERT_OK(session->Refresh());
+    ASSERT_OK_AND_ASSIGN(auto fresh, server.OpenSession());
+    if (fresh->epoch() != session->epoch()) {
+      ASSERT_FALSE(must_match_epoch);
+      return;
+    }
+    EXPECT_EQ(RelationsText(session->database(), fresh->database()),
+              RelationsText(fresh->database(), fresh->database()));
+  };
+  for (int i = 0; i < 40; ++i) compare(false);
+  for (auto& t : writers) t.join();
+  ASSERT_FALSE(failed.load());
+  compare(true);
+  EXPECT_EQ(session->epoch(), 1u + 2 * kCommitsPerWriter);
+  EXPECT_EQ(session->database().uid(), uid);  // never rebuilt
+
+  // The edge index the first query built was caught up in place across
+  // every refresh; a query through it answers like a fresh session's.
+  ASSERT_OK_AND_ASSIGN(auto fresh, server.OpenSession());
+  ASSERT_OK(session->Run(QueryRequest::GraphLog(kTcQuery)).status());
+  ASSERT_OK(fresh->Run(QueryRequest::GraphLog(kTcQuery)).status());
+  EXPECT_EQ(RelationSet(session->database(), "tc"),
+            RelationSet(fresh->database(), "tc"));
+
+  // Byte-identical once the session-local materializations are set aside.
+  fresh.reset();
+  ASSERT_OK_AND_ASSIGN(fresh, server.OpenSession());
+  std::set<Symbol> server_relations;
+  for (const auto& [sym, rel] : session->database().relations()) {
+    if (sym < kLocalSymbolBase) server_relations.insert(sym);
+  }
+  session->database().RetainOnly(server_relations);
+  EXPECT_EQ(graphlog::testing::DatabaseFingerprint(session->database()),
+            graphlog::testing::DatabaseFingerprint(fresh->database()));
+}
+
+TEST(ServerRefreshTest, CommittedSymbolCollidingWithLocalOneRebuilds) {
+  Server server;
+  ASSERT_OK(server.Apply(WriteBatch().Facts(kSeedFacts)).status());
+  ASSERT_OK_AND_ASSIGN(auto session, server.OpenSession());
+  // "zed" is only a query constant here, so the session interns it in
+  // its local range.
+  const std::string query =
+      "query from_zed { edge \"zed\" -> Y : edge+; "
+      "distinguished \"zed\" -> Y : from_zed; }";
+  ASSERT_OK(session->Run(QueryRequest::GraphLog(query)).status());
+  EXPECT_TRUE(RelationSet(session->database(), "from_zed").empty());
+  const uint64_t uid = session->database().uid();
+
+  // A commit makes "zed" a server symbol: the session falls back to a
+  // rebuild, and its answers equal a fresh session's.
+  ASSERT_OK(server.Apply(WriteBatch().Insert("edge", {"zed", "a"})).status());
+  ASSERT_OK(session->Refresh());
+  EXPECT_NE(session->database().uid(), uid);
+  ASSERT_OK(session->Run(QueryRequest::GraphLog(query)).status());
+  ASSERT_OK_AND_ASSIGN(auto fresh, server.OpenSession());
+  ASSERT_OK(fresh->Run(QueryRequest::GraphLog(query)).status());
+  EXPECT_EQ(RelationSet(session->database(), "from_zed"),
+            RelationSet(fresh->database(), "from_zed"));
+  EXPECT_EQ(RelationSet(session->database(), "from_zed"),
+            (std::set<std::string>{"zed,a", "zed,b", "zed,c", "zed,d",
+                                   "zed,e"}));
+}
+
+TEST(ServerRefreshTest, PinnedScanSurvivesAppendsRollbacksAndClears) {
+  const std::string dir = ::testing::TempDir() + "/graphlog_server_test_pin_" +
+                          std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  gov::FaultInjector faults;
+  ServerOptions so;
+  so.faults = &faults;
+  DurabilityOptions dur;
+  dur.fsync = durability::FsyncPolicy::kOff;
+  ASSERT_OK_AND_ASSIGN(auto server, Server::Open(dir, so, dur));
+  // More than two chunks of `edge`, so commits append into a chunk the
+  // pinned session shares.
+  std::string seed;
+  for (int i = 0; i < 2500; ++i) {
+    seed += "edge(v" + std::to_string(i) + ", v" + std::to_string(i + 1) +
+            ").\n";
+  }
+  seed += "color(v0, red).\ncolor(v1, blue).\n";
+  ASSERT_OK(server->Apply(WriteBatch().Facts(seed)).status());
+  ASSERT_OK_AND_ASSIGN(auto pinned, server->OpenSession());
+  const std::string expected =
+      graphlog::testing::DatabaseFingerprint(pinned->database());
+  const uint64_t epoch = pinned->epoch();
+
+  std::atomic<bool> done{false};
+  std::atomic<bool> failed{false};
+  std::thread writer([&] {
+    for (int i = 0; i < 60 && !failed.load(); ++i) {
+      const std::string node = "x" + std::to_string(i);
+      if (!server->Apply(WriteBatch().Insert("edge", {node, "v0"})).ok()) {
+        failed.store(true);
+      }
+      if (i % 5 == 0) {
+        // The WAL refuses the record: the applied rows roll back out of
+        // the chunk the head and the pinned session share.
+        gov::FaultSpec spec;
+        faults.Arm("wal.append", spec);
+        if (server->Apply(WriteBatch().Insert("edge", {node, "v1"})).ok()) {
+          failed.store(true);
+        }
+        faults.Disarm("wal.append");
+      }
+      if (i % 20 == 10 && !server->Apply(WriteBatch().Clear("color")).ok()) {
+        failed.store(true);
+      }
+      if (i % 20 == 15 &&
+          !server->Apply(WriteBatch().Insert("color", {node, "green"})).ok()) {
+        failed.store(true);
+      }
+    }
+    done.store(true);
+  });
+  int scans = 0;
+  while (!done.load() || scans < 3) {
+    EXPECT_EQ(graphlog::testing::DatabaseFingerprint(pinned->database()),
+              expected);
+    ++scans;
+  }
+  writer.join();
+  EXPECT_FALSE(failed.load());
+  EXPECT_EQ(pinned->epoch(), epoch);
+  EXPECT_EQ(graphlog::testing::DatabaseFingerprint(pinned->database()),
+            expected);
+  // The writer's own view is intact too: every good commit, no faulted one.
+  ASSERT_OK_AND_ASSIGN(auto fresh, server->OpenSession());
+  EXPECT_EQ(testutil::RelationSize(fresh->database(), "edge"), 2500u + 60u);
+  fresh.reset();
+  pinned.reset();  // sessions must not outlive their server
+  server.reset();
+  std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "storage/database.h"
 #include "storage/relation.h"
 #include "tests/test_util.h"
@@ -175,6 +179,130 @@ TEST(RelationTest, InsertAllReportsNovelCount) {
   b.Insert({Value::Int(2)});
   EXPECT_EQ(a.InsertAll(b), 1u);
   EXPECT_EQ(a.size(), 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Copies share row chunks; writes on either side never show through.
+
+/// Two and a half chunks of distinct binary rows.
+Relation ChunkedRelation() {
+  Relation r(2);
+  for (size_t i = 0; i < 2 * kChunkRows + kChunkRows / 2; ++i) {
+    r.Insert({Value::Int(static_cast<int64_t>(i)), Value::Int(7)});
+  }
+  return r;
+}
+
+TEST(RelationCopyTest, CopySharesRowsWithTheOriginal) {
+  Relation a = ChunkedRelation();
+  Relation b(a);
+  ASSERT_EQ(b.size(), a.size());
+  EXPECT_EQ(b.data_generation(), a.data_generation());
+  for (size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(&a.row(i), &b.row(i)) << "row " << i << " was copied";
+  }
+  // A write copies at most the chunk it lands in; full chunks stay shared.
+  ASSERT_TRUE(b.Insert({Value::Int(-1), Value::Int(7)}));
+  EXPECT_EQ(&a.row(0), &b.row(0));
+  EXPECT_EQ(&a.row(2 * kChunkRows - 1), &b.row(2 * kChunkRows - 1));
+  EXPECT_NE(&a.row(2 * kChunkRows), &b.row(2 * kChunkRows));
+}
+
+TEST(RelationCopyTest, WritesOnEitherSideNeverShowThrough) {
+  using Op = void (*)(Relation*);
+  const std::vector<std::pair<const char*, Op>> ops = {
+      {"Insert",
+       [](Relation* r) { r->Insert({Value::Int(-1), Value::Int(0)}); }},
+      {"AppendUnique",
+       [](Relation* r) { r->AppendUnique({Value::Int(-2), Value::Int(0)}); }},
+      {"TruncateTo", [](Relation* r) { r->TruncateTo(kChunkRows + 3); }},
+      {"TruncateToChunkEdge", [](Relation* r) { r->TruncateTo(kChunkRows); }},
+      {"Clear", [](Relation* r) { r->Clear(); }},
+      {"RollbackStagedTo",
+       [](Relation* r) {
+         const size_t n = r->size();
+         for (int i = 0; i < 3; ++i) {
+           r->InsertStaged({Value::Int(-10 - i), Value::Int(0)});
+         }
+         r->RollbackStagedTo(n);
+       }},
+  };
+  for (const auto& [name, op] : ops) {
+    for (bool mutate_copy : {false, true}) {
+      SCOPED_TRACE(std::string(name) +
+                   (mutate_copy ? " on copy" : " on original"));
+      Relation original = ChunkedRelation();
+      Relation copy(original);
+      Relation& changed = mutate_copy ? copy : original;
+      const Relation& other = mutate_copy ? original : copy;
+      const std::vector<Tuple> before = other.rows();
+      const uint64_t stamp = other.data_generation();
+      op(&changed);
+      // Interleave a second write so a shared tail chunk is exercised
+      // after the first copy-on-write, too.
+      changed.Insert({Value::Int(-4), Value::Int(0)});
+      EXPECT_EQ(std::vector<Tuple>(other.rows()), before);
+      EXPECT_EQ(other.size(), before.size());
+      EXPECT_EQ(other.data_generation(), stamp);
+      EXPECT_FALSE(other.Contains({Value::Int(-4), Value::Int(0)}));
+      EXPECT_TRUE(other.Contains(before.back()));
+      EXPECT_TRUE(changed.Contains({Value::Int(-4), Value::Int(0)}));
+    }
+  }
+}
+
+TEST(RelationCopyTest, LazilyRebuiltDedupSetRejectsDuplicates) {
+  Relation a = ChunkedRelation();
+  Relation b(a);
+  EXPECT_FALSE(b.Insert({Value::Int(0), Value::Int(7)}));
+  EXPECT_FALSE(b.Insert(a.rows().back()));
+  EXPECT_EQ(b.size(), a.size());
+  b.AppendUnique({Value::Int(-1), Value::Int(7)});
+  Relation c(b);
+  EXPECT_FALSE(c.Insert({Value::Int(-1), Value::Int(7)}));
+  EXPECT_TRUE(c.Insert({Value::Int(-2), Value::Int(7)}));
+  EXPECT_EQ(c.size(), b.size() + 1);
+  EXPECT_TRUE(c.SetEquals(c));
+}
+
+TEST(RelationCopyTest, CatchUpKeepsIndexesAndRefusesADifferentPrefix) {
+  Relation live = ChunkedRelation();
+  Relation reader(live);
+  reader.BuildIndex({1});
+  ASSERT_TRUE(live.Insert({Value::Int(-1), Value::Int(7)}));
+  ASSERT_TRUE(live.Insert({Value::Int(-2), Value::Int(8)}));
+  const Relation grown(live);
+  ASSERT_TRUE(reader.CatchUp(grown));
+  EXPECT_EQ(reader.rows(), live.rows());
+  EXPECT_EQ(reader.data_generation(), grown.data_generation());
+  EXPECT_EQ(reader.Probe({1}, {Value::Int(7)}).size(), live.size() - 1);
+  EXPECT_EQ(reader.Probe({1}, {Value::Int(8)}).size(), 1u);
+  EXPECT_EQ(reader.index_builds(), 1u);  // appended to, never rebuilt
+  EXPECT_FALSE(reader.Insert({Value::Int(-2), Value::Int(8)}));
+
+  // A version whose rows are not an extension of the reader's is refused.
+  Relation rewritten(live);
+  rewritten.TruncateTo(kChunkRows + 1);
+  rewritten.Insert({Value::Int(-3), Value::Int(7)});
+  for (int i = 0; i < 2 * static_cast<int>(kChunkRows); ++i) {
+    rewritten.Insert({Value::Int(-10 - i), Value::Int(7)});
+  }
+  EXPECT_FALSE(reader.CatchUp(rewritten));
+  EXPECT_EQ(reader.rows(), live.rows());
+}
+
+TEST(RelationCopyTest, MemoryBytesOfACopyEqualsTheOriginal) {
+  Relation a = ChunkedRelation();
+  Relation b(a);
+  EXPECT_EQ(b.MemoryBytes(), a.MemoryBytes());
+  // The estimate counts logical rows, not which side owns a chunk or
+  // whether the lazily rebuilt dedup set has caught up.
+  b.Insert({Value::Int(-1), Value::Int(7)});
+  a.Insert({Value::Int(-1), Value::Int(7)});
+  EXPECT_EQ(b.MemoryBytes(), a.MemoryBytes());
+  a.BuildIndex({0});
+  b.BuildIndex({0});
+  EXPECT_EQ(b.MemoryBytes(), a.MemoryBytes());
 }
 
 TEST(DatabaseTest, DeclareIsIdempotent) {
