@@ -1,26 +1,17 @@
-// Columnar ablation: row-at-a-time vs CSR/bitset evaluation.
+// Columnar ablation: the semi-naive engine with eval.columnar off vs on.
 //
 // The columnar layer (src/columnar/) is a pure constant-factor
 // optimisation — same rows, same provenance, same stats — so the claim
-// this bench reproduces is quantitative: serving probes from CSR
-// adjacency spans and running closures/product searches over word-packed
-// bitset frontiers beats the hash-index row path by >= 2x on the
-// workloads the other benches already time:
+// this bench checks is quantitative: the cost of serving the engine's
+// probes from CSR adjacency spans instead of hash-index rows, on the
+// linear-closure GraphLog program over bench_scaling's graph (CSR build
+// cost included: the engine snapshots EDBs per batch).
 //
-//   tc       — per-source-parallel transitive closure on RandomDigraph
-//              (bench_parallel_tc's graph), row kernel vs the CSR/bitset
-//              kernel (tc/columnar_tc.h);
-//   engine   — the linear-closure GraphLog program on bench_scaling's
-//              graph, the semi-naive engine with eval.columnar off vs on
-//              (CSR build cost included: the engine snapshots EDBs per
-//              batch);
-//   rpq      — the redundant-union expression from bench_rpq_ablation,
-//              DFA product search vs the per-state bitset-frontier
-//              kernel (rpq::EvalRpqBitset).
-//
-// The Report() section cross-checks equivalence and prints median
-// speedups at the largest size; the google-benchmark timings show the
-// shape across sizes.
+// The Report() section cross-checks bit-identical rows and stats and
+// prints the median speedup at the largest size; the google-benchmark
+// timings show the shape across sizes. The columnar closure and RPQ
+// kernels are timed by bench_tc_ablation, bench_parallel_tc and
+// bench_rpq_ablation.
 
 #include <benchmark/benchmark.h>
 
@@ -30,14 +21,8 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "columnar/csr_cache.h"
 #include "eval/engine.h"
-#include "graph/data_graph.h"
-#include "graphlog/api.h"
-#include "rpq/rpq_eval.h"
 #include "storage/database.h"
-#include "tc/columnar_tc.h"
-#include "tc/parallel_tc.h"
 #include "workload/generators.h"
 
 using namespace graphlog;
@@ -45,31 +30,16 @@ using bench::CheckOk;
 
 namespace {
 
-// The three graphs mirror the benches whose workloads this ablation
-// re-times, seeds included.
-storage::Database MakeTcGraph(int n) {
-  storage::Database db;
-  CheckOk(workload::RandomDigraph(n, 4 * n, 123, &db), "tc graph");
-  return db;
-}
-
+// bench_scaling's graph, seed included.
 storage::Database MakeScalingGraph(int n) {
   storage::Database db;
   CheckOk(workload::RandomDigraph(n, 3 * n, 7, &db), "scaling graph");
   return db;
 }
 
-storage::Database MakeRpqGraph(int n) {
-  storage::Database db;
-  CheckOk(workload::RandomDigraph(n, 3 * n, 4, &db, "p"), "gen p");
-  CheckOk(workload::RandomDigraph(n, 2 * n, 13, &db, "q"), "gen q");
-  return db;
-}
-
 const char* kClosureProgram =
     "t(X, Y) :- edge(X, Y).\n"
     "t(X, Y) :- edge(X, Z), t(Z, Y).\n";
-const char* kRpqExpr = "(p | p p | p p p)+";
 
 double MedianMs(std::vector<double> ms) {
   std::sort(ms.begin(), ms.end());
@@ -86,124 +56,43 @@ double TimeMs(F&& f) {
 
 void Report() {
   bench::Banner(
-      "Columnar ablation — CSR/bitset kernels vs the row path",
-      "identical answers; >= 2x median speedup from CSR adjacency "
-      "spans and word-packed bitset frontiers");
+      "Columnar ablation — CSR probes vs the row path in the engine",
+      "identical rows and stats; CSR probes move only the probe term, "
+      "so the speedup stays near 1x while dedup dominates");
+  // The linear-closure program at the largest bench_scaling size. Fresh
+  // database per run (the program materializes t), timing only the
+  // evaluation.
   constexpr int kReps = 5;
-
-  // tc: row kernel vs columnar kernel, largest bench_parallel_tc size.
-  {
-    const int n = 400;
-    storage::Database db = MakeTcGraph(n);
-    const storage::Relation& e = *db.Find("edge");
-    columnar::CsrCache cache;
-    storage::Relation row_tc(2), col_tc(2);
-    std::vector<double> row_ms, col_ms;
-    for (int i = 0; i < kReps; ++i) {
-      row_ms.push_back(TimeMs([&] {
-        row_tc = CheckOk(tc::ParallelTransitiveClosure(e, 1), "row tc");
-      }));
-      col_ms.push_back(TimeMs([&] {
-        col_tc = CheckOk(
-            tc::ColumnarTransitiveClosure(e, 1, nullptr, nullptr, nullptr,
-                                          &cache),
-            "columnar tc");
-      }));
-    }
-    double row = MedianMs(row_ms), col = MedianMs(col_ms);
-    std::printf(
-        "tc      n=%-4d row %8.2f ms | columnar %8.2f ms | %5.2fx  %s\n", n,
-        row, col, row / col,
-        row_tc.SetEquals(col_tc) ? "(MATCH)" : "(MISMATCH!)");
-  }
-
-  // engine: eval.columnar off vs on on the linear-closure program,
-  // largest bench_scaling size. Fresh database per run (the program
-  // materializes t), timing only the evaluation.
-  {
-    const int n = 256;
-    std::vector<double> row_ms, col_ms;
+  const int n = 256;
+  std::vector<double> row_ms, col_ms;
+  bool match = true;
+  for (int i = 0; i < kReps; ++i) {
     eval::EvalStats row_stats, col_stats;
-    for (int i = 0; i < kReps; ++i) {
-      storage::Database row_db = MakeScalingGraph(n);
-      row_ms.push_back(TimeMs([&] {
-        row_stats =
-            CheckOk(eval::EvaluateText(kClosureProgram, &row_db), "row eval");
-      }));
-      storage::Database col_db = MakeScalingGraph(n);
-      eval::EvalOptions opts;
-      opts.columnar = true;
-      col_ms.push_back(TimeMs([&] {
-        col_stats = CheckOk(eval::EvaluateText(kClosureProgram, &col_db, opts),
-                            "columnar eval");
-      }));
-      if (i == 0) {
-        bool match = row_db.Find("t")->rows() == col_db.Find("t")->rows() &&
-                     row_stats.rule_firings == col_stats.rule_firings &&
-                     row_stats.tuples_derived == col_stats.tuples_derived;
-        if (!match) std::printf("engine paths DIVERGED (bug!)\n");
-      }
+    storage::Database row_db = MakeScalingGraph(n);
+    row_ms.push_back(TimeMs([&] {
+      row_stats =
+          CheckOk(eval::EvaluateText(kClosureProgram, &row_db), "row eval");
+    }));
+    storage::Database col_db = MakeScalingGraph(n);
+    eval::EvalOptions opts;
+    opts.columnar = true;
+    col_ms.push_back(TimeMs([&] {
+      col_stats = CheckOk(eval::EvaluateText(kClosureProgram, &col_db, opts),
+                          "columnar eval");
+    }));
+    if (row_db.Find("t")->rows() != col_db.Find("t")->rows() ||
+        row_stats.rule_firings != col_stats.rule_firings ||
+        row_stats.tuples_derived != col_stats.tuples_derived) {
+      match = false;
     }
-    double row = MedianMs(row_ms), col = MedianMs(col_ms);
-    std::printf(
-        "engine  n=%-4d row %8.2f ms | columnar %8.2f ms | %5.2fx  "
-        "(bit-identical rows + stats checked)\n",
-        n, row, col, row / col);
   }
-
-  // rpq: DFA product search vs bitset frontiers on the redundant-union
-  // expression, largest bench_rpq_ablation size.
-  {
-    const int n = 60;
-    storage::Database db = MakeRpqGraph(n);
-    graph::DataGraph g = graph::DataGraph::FromDatabase(db);
-    auto expr = CheckOk(gl::ParsePathExpr(kRpqExpr, &db.symbols()), "parse");
-    storage::Relation dfa_r(2), bit_r(2);
-    std::vector<double> row_ms, col_ms;
-    for (int i = 0; i < kReps; ++i) {
-      row_ms.push_back(TimeMs([&] {
-        dfa_r = CheckOk(rpq::EvalRpqDfa(g, expr), "dfa eval");
-      }));
-      col_ms.push_back(TimeMs([&] {
-        bit_r = CheckOk(rpq::EvalRpqBitset(g, expr), "bitset eval");
-      }));
-    }
-    double row = MedianMs(row_ms), col = MedianMs(col_ms);
-    std::printf(
-        "rpq     n=%-4d row %8.2f ms | columnar %8.2f ms | %5.2fx  %s\n", n,
-        row, col, row / col,
-        dfa_r.SetEquals(bit_r) ? "(MATCH)" : "(MISMATCH!)");
-  }
-  std::printf("\n");
+  double row = MedianMs(row_ms), col = MedianMs(col_ms);
+  std::printf(
+      "engine  n=%-4d row %8.2f ms | columnar %8.2f ms | %5.2fx  %s\n\n", n,
+      row, col, row / col, match ? "(MATCH)" : "(MISMATCH!)");
 }
 
-// --- timed benchmarks: strategy 0 = row path, 1 = columnar path ---
-
-void BM_Tc(benchmark::State& state) {
-  int strategy = static_cast<int>(state.range(0));
-  int n = static_cast<int>(state.range(1));
-  storage::Database db = MakeTcGraph(n);
-  const storage::Relation& e = *db.Find("edge");
-  columnar::CsrCache cache;
-  for (auto _ : state) {
-    auto tc = strategy == 0
-                  ? CheckOk(tc::ParallelTransitiveClosure(e, 1), "row tc")
-                  : CheckOk(tc::ColumnarTransitiveClosure(
-                                e, 1, nullptr, nullptr, nullptr, &cache),
-                            "columnar tc");
-    benchmark::DoNotOptimize(tc.size());
-  }
-  state.SetLabel(std::string(strategy == 0 ? "row" : "columnar") +
-                 " n=" + std::to_string(n));
-}
-BENCHMARK(BM_Tc)
-    ->Args({0, 100})
-    ->Args({1, 100})
-    ->Args({0, 200})
-    ->Args({1, 200})
-    ->Args({0, 400})
-    ->Args({1, 400})
-    ->UseRealTime();
+// --- timed benchmark: strategy 0 = row path, 1 = columnar path ---
 
 void BM_EngineClosure(benchmark::State& state) {
   int strategy = static_cast<int>(state.range(0));
@@ -227,29 +116,6 @@ BENCHMARK(BM_EngineClosure)
     ->Args({1, 128})
     ->Args({0, 256})
     ->Args({1, 256})
-    ->UseRealTime();
-
-void BM_Rpq(benchmark::State& state) {
-  int strategy = static_cast<int>(state.range(0));
-  int n = static_cast<int>(state.range(1));
-  storage::Database db = MakeRpqGraph(n);
-  graph::DataGraph g = graph::DataGraph::FromDatabase(db);
-  auto expr = CheckOk(gl::ParsePathExpr(kRpqExpr, &db.symbols()), "parse");
-  for (auto _ : state) {
-    auto r = strategy == 0 ? CheckOk(rpq::EvalRpqDfa(g, expr), "dfa")
-                           : CheckOk(rpq::EvalRpqBitset(g, expr), "bitset");
-    benchmark::DoNotOptimize(r.size());
-  }
-  state.SetLabel(std::string(strategy == 0 ? "dfa" : "bitset") +
-                 " n=" + std::to_string(n));
-}
-BENCHMARK(BM_Rpq)
-    ->Args({0, 20})
-    ->Args({1, 20})
-    ->Args({0, 40})
-    ->Args({1, 40})
-    ->Args({0, 60})
-    ->Args({1, 60})
     ->UseRealTime();
 
 }  // namespace

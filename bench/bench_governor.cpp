@@ -8,11 +8,12 @@
 //    accounting). The 0-vs-1 and 0-vs-2 deltas are the acceptance gate:
 //    governed-but-untripped must sit within noise of ungoverned.
 //  * BM_ParallelTcGovernorOverhead/{governed}: the same ablation on the
-//    parallel TC fan-out, where the per-task check rides the pool lanes.
+//    4-lane columnar TC fan-out (tc/columnar_tc.h), where the per-source
+//    check rides the pool lanes.
 //  * BM_ParallelTcCancelLatency: manual-time measurement of the headline
 //    robustness number — the wall-clock gap between CancellationToken::
-//    Cancel() on a large in-flight parallel closure and the evaluator
-//    returning kCancelled. Bounded by one DFS poll interval per lane, so
+//    Cancel() on a large in-flight 4-lane closure and the kernel
+//    returning kCancelled. Bounded by one BFS poll interval per lane, so
 //    it should sit orders of magnitude under the closure's runtime.
 
 #include <benchmark/benchmark.h>
@@ -26,7 +27,7 @@
 #include "gov/governor.h"
 #include "graphlog/api.h"
 #include "storage/database.h"
-#include "tc/parallel_tc.h"
+#include "tc/columnar_tc.h"
 #include "workload/generators.h"
 
 using namespace graphlog;
@@ -80,9 +81,9 @@ void BM_ParallelTcGovernorOverhead(benchmark::State& state) {
   const storage::Relation& edges = *db.Find("edge");
   gov::GovernorContext armed = UntrippableGovernor();
   for (auto _ : state) {
-    auto r = tc::ParallelTransitiveClosure(edges, 4, nullptr,
+    auto r = tc::ColumnarTransitiveClosure(edges, 4, nullptr,
                                            governed ? &armed : nullptr);
-    CheckOk(r.status(), "parallel tc");
+    CheckOk(r.status(), "columnar tc");
     benchmark::DoNotOptimize(r->size());
   }
 }
@@ -109,7 +110,7 @@ void BM_ParallelTcCancelLatency(benchmark::State& state) {
     Status result = Status::OK();
     std::thread worker([&] {
       started.store(true, std::memory_order_release);
-      result = tc::ParallelTransitiveClosure(edges, 4, nullptr, &g).status();
+      result = tc::ColumnarTransitiveClosure(edges, 4, nullptr, &g).status();
     });
     while (!started.load(std::memory_order_acquire)) {
       std::this_thread::yield();

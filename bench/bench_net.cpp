@@ -246,13 +246,9 @@ BENCHMARK(BM_NetApply);
 // Loopback mixed-workload throughput across client counts (items
 // processed = client operations; compare BM_ServerMixedWorkload).
 
-// Samples per iteration across all clients: enough that p99_us has at
-// least 10 samples beyond it (index 1089 of 1100).
-constexpr int kMixSamples = 1100;
-
 void BM_NetMixedWorkload(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
-  const int ops_per_client = (kMixSamples + threads - 1) / threads;
+  const int ops_per_client = (bench::kMixSamples + threads - 1) / threads;
   for (auto _ : state) {
     state.PauseTiming();
     auto lb = std::make_unique<Loopback>(64, net::NetServerOptions{

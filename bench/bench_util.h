@@ -47,6 +47,11 @@ T CheckOk(Result<T> r, const char* what) {
   return std::move(r).ValueOrDie();
 }
 
+/// \brief Client operations per iteration of the mixed-workload benches
+/// (bench_server, bench_net), split across the clients: enough that
+/// p99_us has at least 10 samples beyond it (index 1089 of 1100).
+constexpr int kMixSamples = 1100;
+
 /// \brief Prints the standard report banner.
 inline void Banner(const char* figure, const char* claim) {
   std::printf("==============================================================\n");

@@ -31,14 +31,20 @@
 # committing writer is precisely a TSan workload, and the frame codecs
 # shuffling length-prefixed bytes are an ASan one.
 #
+# The kernels label (tc_test, rpq_test, dfa_test) covers the closure and
+# RPQ kernels: ColumnarTransitiveClosure is the only multi-lane closure,
+# and its 1- and 4-lane corpus runs are where a lane race would show
+# under TSan; the bitset frontiers and CSR spans are index arithmetic
+# ASan checks.
+#
 # Usage: scripts/run_sanitizer_lanes.sh [LABEL] [BUILD_ROOT]
-# Defaults: LABEL = 'robustness|cache|profile|durability|net' (a ctest -L
-# regex), BUILD_ROOT = build-san (creates ${BUILD_ROOT}-thread and
-# ${BUILD_ROOT}-address).
+# Defaults: LABEL = 'robustness|cache|profile|durability|net|kernels' (a
+# ctest -L regex), BUILD_ROOT = build-san (creates ${BUILD_ROOT}-thread
+# and ${BUILD_ROOT}-address).
 
 set -euo pipefail
 
-LABEL="${1:-robustness|cache|profile|durability|net}"
+LABEL="${1:-robustness|cache|profile|durability|net|kernels}"
 BUILD_ROOT="${2:-build-san}"
 SRC_DIR="$(cd "$(dirname "$0")/.." && pwd)"
 JOBS="$(nproc 2>/dev/null || echo 4)"

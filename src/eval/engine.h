@@ -137,7 +137,7 @@ struct EvalStats {
   bool truncated = false;
   /// Which budget tripped, e.g. "max_rounds at eval.round (stratum 1,
   /// round 10)"; empty unless truncated.
-  std::string truncated_by;
+  std::string truncated_by{};
 
   /// \brief Adds every counter of `other` into this one (peaks take the
   /// max — the merged value is the peak over the combined run). The single

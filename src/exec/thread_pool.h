@@ -1,7 +1,7 @@
 // A small reusable fork-join thread pool.
 //
-// The evaluation engine (eval/engine.cc) and the parallel TC kernel
-// (tc/parallel_tc.cc) both fan data-parallel work over a fixed set of
+// The evaluation engine (eval/engine.cc) and the columnar TC kernel
+// (tc/columnar_tc.cc) both fan data-parallel work over a fixed set of
 // worker lanes and then merge per-lane results deterministically. This
 // pool provides exactly that primitive: ParallelFor dispatches a dense
 // index range across lanes through a shared work counter and blocks until

@@ -13,7 +13,7 @@
 //
 //   eval.round   — top of every fixpoint round (eval/engine.cc)
 //   pool.task    — before each work item a pool lane claims (engine
-//                  batches and the parallel TC fan-out)
+//                  batches)
 //   tc.expand    — per fixpoint round / per source of the TC kernels
 //   rpq.step     — periodically inside the product-automaton search
 //   io.load      — before a fact file's parsed tuples are applied

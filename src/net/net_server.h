@@ -81,7 +81,7 @@ struct NetServerOptions {
   /// Retry-after advice carried on every kOverloaded rejection.
   uint32_t retry_after_ms = 100;
   /// Default per-request budget for requests that carry none.
-  gov::ResourceBudget default_budget;
+  gov::ResourceBudget default_budget{};
   /// Default per-request deadline (ms) for requests that carry none;
   /// 0 = none.
   uint64_t default_deadline_ms = 0;

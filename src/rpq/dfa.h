@@ -3,8 +3,8 @@
 // The NFA product search re-computes epsilon closures and tracks one
 // product state per (node, nfa-state). Determinizing (subset construction)
 // and minimizing (Moore partition refinement) the automaton first yields a
-// table-driven evaluator with fewer product states and no epsilon work —
-// the classic automaton-pipeline ablation for the [MW89] evaluator.
+// table-driven automaton with fewer product states and no epsilon work,
+// which EvalRpqBitset (rpq/rpq_eval.h) evaluates with bitset frontiers.
 //
 // Restriction: the DFA alphabet is the set of (predicate, direction)
 // pairs, so expressions whose atoms carry attribute filters are rejected

@@ -213,54 +213,6 @@ Result<Relation> EvalRpqText(const DataGraph& g, std::string_view expr_text,
 
 namespace {
 
-/// BFS over the (node, dfa-state) product from one source node.
-Status SearchFromDfa(const DataGraph& g, const Dfa& dfa, NodeId source,
-                     const std::optional<NodeId>& target, Relation* out,
-                     RpqStats* stats, GovState* gstate) {
-  const size_t ns = dfa.num_states();
-  std::vector<bool> visited(g.num_nodes() * ns, false);
-  std::deque<std::pair<NodeId, uint32_t>> queue;
-  auto enqueue = [&](NodeId n, uint32_t state) {
-    size_t idx = static_cast<size_t>(n) * ns + state;
-    if (!visited[idx]) {
-      visited[idx] = true;
-      queue.emplace_back(n, state);
-    }
-  };
-  enqueue(source, dfa.start());
-  while (!queue.empty()) {
-    if (gstate != nullptr) {
-      GRAPHLOG_RETURN_NOT_OK(gstate->Poll(*out));
-      if (gstate->truncated) return Status::OK();
-    }
-    auto [n, state] = queue.front();
-    queue.pop_front();
-    if (stats != nullptr) ++stats->product_states_visited;
-    if (dfa.IsAccepting(state)) {
-      if (!target.has_value() || n == *target) {
-        out->Insert(Tuple{g.node_value(source), g.node_value(n)});
-      }
-    }
-    for (size_t li = 0; li < dfa.alphabet().size(); ++li) {
-      uint32_t next_state = dfa.Next(state, li);
-      if (next_state == Dfa::kNoTransition) continue;
-      const DfaLabel& label = dfa.alphabet()[li];
-      const auto& edge_ids = label.inverted ? g.InEdges(n) : g.OutEdges(n);
-      for (uint32_t ei : edge_ids) {
-        if (stats != nullptr) ++stats->edge_traversals;
-        const Edge& e = g.edge(ei);
-        if (e.predicate != label.predicate) continue;
-        enqueue(label.inverted ? e.from : e.to, next_state);
-      }
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-namespace {
-
 /// BFS with parent pointers: reconstructs one shortest qualifying path
 /// per reached accepting (node, state) pair.
 void SearchWitnesses(const DataGraph& g, const Nfa& nfa, NodeId source,
@@ -351,54 +303,6 @@ Result<std::vector<RpqWitness>> EvalRpqWitnesses(const DataGraph& g,
   for (NodeId s = 0; s < g.num_nodes(); ++s) {
     SearchWitnesses(g, nfa, s, target, &out);
   }
-  return out;
-}
-
-Result<Relation> EvalRpqDfa(const DataGraph& g, const gl::PathExpr& expr,
-                            const RpqOptions& options, RpqStats* stats) {
-  GRAPHLOG_ASSIGN_OR_RETURN(Nfa nfa, Nfa::Compile(expr));
-  GRAPHLOG_ASSIGN_OR_RETURN(Dfa det, Dfa::Determinize(nfa));
-  Dfa dfa = det.Minimize();
-  obs::SpanGuard span(options.tracer, "rpq");
-  RpqStats local;
-  if (stats == nullptr && (span.enabled() || options.metrics != nullptr ||
-                           options.governor != nullptr)) {
-    stats = &local;
-  }
-  GovState gstate{options.governor};
-  GRAPHLOG_RETURN_NOT_OK(gov::CheckPoint(options.governor, "rpq.step"));
-
-  Relation out(2);
-  auto finish = [&]() {
-    if (stats != nullptr) {
-      stats->truncated = gstate.truncated;
-      FinishRpqSpan(span, "dfa", dfa.num_states(), options, *stats, out);
-    }
-  };
-  std::optional<NodeId> target;
-  if (options.target.has_value()) {
-    NodeId t;
-    if (!g.FindNode(*options.target, &t)) {
-      finish();
-      return out;
-    }
-    target = t;
-  }
-  if (options.source.has_value()) {
-    NodeId s;
-    if (g.FindNode(*options.source, &s)) {
-      GRAPHLOG_RETURN_NOT_OK(
-          SearchFromDfa(g, dfa, s, target, &out, stats, &gstate));
-    }
-    finish();
-    return out;
-  }
-  for (NodeId s = 0; s < g.num_nodes(); ++s) {
-    GRAPHLOG_RETURN_NOT_OK(SearchFromDfa(g, dfa, s, target, &out, stats,
-                                         &gstate));
-    if (gstate.truncated) break;
-  }
-  finish();
   return out;
 }
 

@@ -6,6 +6,12 @@
 // endpoint is fixed (the Figure 12 Rome -> Tokyo query) the search touches
 // only the reachable part of the product — the asymptotic win the
 // benchmark bench_fig12_prototype measures.
+//
+// Two evaluators share RpqOptions and RpqStats: EvalRpq walks the NFA
+// product over the full path-expression fragment (filters, inverses) and
+// is the oracle the tests check against and the base of the witness
+// search; EvalRpqBitset is the plain-label kernel over the minimized DFA
+// with bitset frontiers.
 
 #ifndef GRAPHLOG_RPQ_RPQ_EVAL_H_
 #define GRAPHLOG_RPQ_RPQ_EVAL_H_
@@ -79,26 +85,19 @@ Result<storage::Relation> EvalRpqText(const graph::DataGraph& g,
                                       const RpqOptions& options = {},
                                       RpqStats* stats = nullptr);
 
-/// \brief Table-driven evaluation through the determinized + minimized
-/// automaton (see rpq/dfa.h). Same results as EvalRpq for the plain-label
-/// fragment; rejects expressions with attribute filters or negation.
-Result<storage::Relation> EvalRpqDfa(const graph::DataGraph& g,
-                                     const gl::PathExpr& expr,
-                                     const RpqOptions& options = {},
-                                     RpqStats* stats = nullptr);
-
-/// \brief Columnar product search: per-DFA-label adjacency arrays built
-/// once per evaluation, then per-source expansion of one node-bitset
-/// frontier per DFA state (columnar/bitset.h) — each round ors whole
-/// adjacency spans into the successor state's frontier instead of
-/// enqueuing (node, state) pairs one at a time. Same result set as
-/// EvalRpqDfa (same fragment restrictions: plain labels only); row
-/// insertion order differs (pairs surface in BFS-round, then ascending
-/// dense-node order). Effort counters reflect this kernel's own work:
+/// \brief Plain-label evaluation through the determinized + minimized
+/// automaton (see rpq/dfa.h): per-DFA-label adjacency arrays built once
+/// per evaluation, then per-source expansion of one node-bitset frontier
+/// per DFA state (columnar/bitset.h) — each round ors whole adjacency
+/// spans into the successor state's frontier instead of enqueuing
+/// (node, state) pairs one at a time. Same result set as EvalRpq on the
+/// plain-label fragment; rejects expressions with attribute filters
+/// (kUnsupported). Row insertion order differs from EvalRpq's
+/// (pairs surface in BFS-round, then ascending dense-node order).
+/// Effort counters reflect this kernel's own work:
 /// product_states_visited counts newly reached (node, state) bits and
 /// edge_traversals counts label-matched adjacency entries only, so both
-/// are typically far below the NFA/DFA walkers' — that gap is the
-/// ablation bench_columnar measures. Governance matches EvalRpqDfa
+/// are typically far below the NFA walker's. Governance matches EvalRpq
 /// (rpq.step polls inside frontier expansion; budgets against the result
 /// relation, truncation stops the search keeping pairs found so far).
 Result<storage::Relation> EvalRpqBitset(const graph::DataGraph& g,

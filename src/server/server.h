@@ -188,13 +188,13 @@ struct SessionOptions {
   std::string name;
   /// Default per-query resource budget, applied when a request carries no
   /// governor of its own.
-  gov::ResourceBudget budget;
+  gov::ResourceBudget budget{};
   /// Default per-query deadline in milliseconds (same condition); 0 = none.
   uint64_t deadline_ms = 0;
   /// Fill-in defaults for request options left unset (null pointers are
   /// filled, false toggles are OR-ed in, num_threads applies when the
   /// request keeps the default 1).
-  QueryOptions defaults;
+  QueryOptions defaults{};
 };
 
 /// \brief The concurrent front door: owns (or wraps) the Database, commits

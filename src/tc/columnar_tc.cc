@@ -1,5 +1,6 @@
 #include "tc/columnar_tc.h"
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <mutex>
@@ -39,9 +40,9 @@ Result<Relation> ColumnarTransitiveClosure(
   }
   const uint32_t n = csr->num_nodes();
 
-  // Same governed fan-out discipline as ParallelTransitiveClosure: one
-  // BFS per source, first failing source (in source order) wins, lanes
-  // drain once the stop flag is up, token polled inside the expansion.
+  // Governed fan-out: one BFS per source, first failing source (in
+  // source order) wins, lanes drain once the stop flag is up, token
+  // polled inside the expansion.
   std::atomic<bool> stop{false};
   std::mutex err_mu;
   Status lane_error = Status::OK();
@@ -133,12 +134,13 @@ Result<Relation> ColumnarTransitiveClosure(
     stats->rounds = n;
     stats->pair_visits = total;
   }
-  // Budgets on the merged closure, exactly as in parallel_tc.cc: the
-  // deterministic boundary of the kernel.
+  // Budgets on the merged closure: the deterministic boundary of the
+  // kernel. `row_cap` is the number of rows the tripped budgets keep,
+  // starting at the whole closure, so a cap of 0 truncates everything.
   if (governor != nullptr) {
     GRAPHLOG_RETURN_NOT_OK(governor->CheckInterrupts("tc.expand"));
     const gov::ResourceBudget& b = governor->budget;
-    uint64_t row_cap = 0;  // 0 = no trip
+    uint64_t row_cap = tc.size();
     if (b.max_result_rows != 0 && tc.size() > b.max_result_rows) {
       if (!b.return_partial) {
         return gov::BudgetExceededError("max_result_rows", "tc.expand",
@@ -151,11 +153,12 @@ Result<Relation> ColumnarTransitiveClosure(
         return gov::BudgetExceededError("max_bytes", "tc.expand",
                                         tc.MemoryBytes(), b.max_bytes);
       }
-      uint64_t per_row = tc.MemoryBytes() / tc.size();
-      uint64_t by_bytes = per_row == 0 ? tc.size() : b.max_bytes / per_row;
-      if (row_cap == 0 || by_bytes < row_cap) row_cap = by_bytes;
+      // Rounding the per-row estimate up keeps the cap below the
+      // closure's size whenever the byte budget trips.
+      uint64_t per_row = (tc.MemoryBytes() + tc.size() - 1) / tc.size();
+      row_cap = std::min<uint64_t>(row_cap, b.max_bytes / per_row);
     }
-    if (row_cap != 0 && row_cap < tc.size()) {
+    if (row_cap < tc.size()) {
       tc.TruncateTo(row_cap);
       if (stats != nullptr) stats->truncated = true;
     }

@@ -1,6 +1,5 @@
 #include "tc/transitive_closure.h"
 
-#include <unordered_map>
 #include <vector>
 
 #include "gov/governor.h"
@@ -11,32 +10,6 @@ using storage::Relation;
 using storage::Tuple;
 
 namespace {
-
-/// Dense-id view of a binary relation: node values interned to uint32.
-struct Adjacency {
-  std::vector<Value> values;
-  std::unordered_map<Value, uint32_t, ValueHash> ids;
-  std::vector<std::vector<uint32_t>> out;
-
-  uint32_t Intern(const Value& v) {
-    auto [it, inserted] = ids.emplace(v, static_cast<uint32_t>(values.size()));
-    if (inserted) {
-      values.push_back(v);
-      out.emplace_back();
-    }
-    return it->second;
-  }
-
-  static Adjacency Build(const Relation& edges) {
-    Adjacency a;
-    for (const Tuple& t : edges.rows()) {
-      uint32_t u = a.Intern(t[0]);
-      uint32_t v = a.Intern(t[1]);
-      a.out[u].push_back(v);
-    }
-    return a;
-  }
-};
 
 /// The kernels' shared round boundary: interrupts (cancellation,
 /// deadline, armed tc.expand faults), then budgets against the closure
@@ -162,49 +135,6 @@ Result<Relation> SquaringTc(const Relation& edges, TcStats* stats,
   return tc;
 }
 
-Result<Relation> BfsTc(const Relation& edges, TcStats* stats,
-                       const gov::GovernorContext* governor) {
-  Adjacency adj = Adjacency::Build(edges);
-  Relation tc(2);
-  size_t n = adj.values.size();
-  std::vector<uint32_t> stack;
-  std::vector<bool> seen(n);
-  bool truncated = false;
-  for (uint32_t s = 0; s < n; ++s) {
-    // One "round" per source: the boundary where the per-source DFS
-    // below becomes visible in the closure.
-    GRAPHLOG_RETURN_NOT_OK(TcRoundCheck(governor, s, tc, &truncated));
-    if (truncated) break;
-    if (stats != nullptr) ++stats->rounds;
-    std::fill(seen.begin(), seen.end(), false);
-    stack.clear();
-    for (uint32_t v : adj.out[s]) {
-      if (!seen[v]) {
-        seen[v] = true;
-        stack.push_back(v);
-      }
-    }
-    while (!stack.empty()) {
-      uint32_t u = stack.back();
-      stack.pop_back();
-      tc.Insert(Tuple{adj.values[s], adj.values[u]});
-      for (uint32_t v : adj.out[u]) {
-        if (stats != nullptr) ++stats->pair_visits;
-        if (!seen[v]) {
-          seen[v] = true;
-          stack.push_back(v);
-        }
-      }
-    }
-  }
-  if (stats != nullptr) stats->truncated = truncated;
-  return tc;
-}
-
-}  // namespace
-
-namespace {
-
 std::string_view AlgorithmName(TcAlgorithm algorithm) {
   switch (algorithm) {
     case TcAlgorithm::kNaive:
@@ -213,8 +143,6 @@ std::string_view AlgorithmName(TcAlgorithm algorithm) {
       return "semi-naive";
     case TcAlgorithm::kSquaring:
       return "squaring";
-    case TcAlgorithm::kBfs:
-      return "bfs";
   }
   return "unknown";
 }
@@ -252,10 +180,6 @@ Result<Relation> TransitiveClosure(const Relation& edges,
       GRAPHLOG_ASSIGN_OR_RETURN(closure, SquaringTc(edges, stats, governor));
       break;
     }
-    case TcAlgorithm::kBfs: {
-      GRAPHLOG_ASSIGN_OR_RETURN(closure, BfsTc(edges, stats, governor));
-      break;
-    }
     default:
       return Status::InvalidArgument("unknown TC algorithm");
   }
@@ -274,33 +198,6 @@ Result<Relation> TransitiveClosure(const Relation& edges,
         ->Observe(static_cast<int64_t>(closure.size()));
   }
   return closure;
-}
-
-Result<Relation> ReachableFrom(const Relation& edges, const Value& source) {
-  if (edges.arity() != 2) {
-    return Status::InvalidArgument(
-        "transitive closure requires a binary relation");
-  }
-  Adjacency adj = Adjacency::Build(edges);
-  Relation out(1);
-  auto it = adj.ids.find(source);
-  if (it == adj.ids.end()) return out;
-  std::vector<uint32_t> stack{it->second};
-  // The source itself is reachable only via a non-empty path (positive
-  // closure); do not pre-mark it.
-  std::vector<bool> emitted(adj.values.size());
-  while (!stack.empty()) {
-    uint32_t u = stack.back();
-    stack.pop_back();
-    for (uint32_t v : adj.out[u]) {
-      if (!emitted[v]) {
-        emitted[v] = true;
-        out.Insert(Tuple{adj.values[v]});
-        stack.push_back(v);
-      }
-    }
-  }
-  return out;
 }
 
 }  // namespace graphlog::tc

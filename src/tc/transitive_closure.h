@@ -2,9 +2,10 @@
 //
 // Section 6 of the paper: "implementations can benefit from the existing
 // work on transitive closure computation and linear Datalog optimization".
-// This module provides that substrate: four interchangeable algorithms for
-// computing the positive closure of a binary relation, used by the
-// benchmark ablation (bench_tc_ablation) and as oracles in tests.
+// This module holds the round-based side of that substrate: three
+// interchangeable fixpoint algorithms for the positive closure of a binary
+// relation, the ablation bench_tc_ablation times and kNaive the oracle the
+// tests check every other kernel against.
 //
 //   * kNaive      — iterate T := T ∪ T∘E until fixpoint, recomputing the
 //                   full join each round (the naive Datalog evaluation).
@@ -12,10 +13,10 @@
 //                   against E (what the Datalog engine does).
 //   * kSquaring   — logarithmic rounds: T := T ∪ T∘T ("smart" TC, [Ull89]);
 //                   few rounds, heavier joins.
-//   * kBfs        — per-source DFS/BFS over an adjacency list; the classic
-//                   graph-algorithmic approach ([JAN87] style).
 //
-// All four return identical relations; they differ only in cost shape.
+// All three return identical relations; they differ only in cost shape.
+// The per-source, multi-lane closure is ColumnarTransitiveClosure
+// (tc/columnar_tc.h).
 
 #ifndef GRAPHLOG_TC_TRANSITIVE_CLOSURE_H_
 #define GRAPHLOG_TC_TRANSITIVE_CLOSURE_H_
@@ -38,12 +39,11 @@ enum class TcAlgorithm : uint8_t {
   kNaive,
   kSemiNaive,
   kSquaring,
-  kBfs,
 };
 
 /// \brief Statistics of one closure computation.
 struct TcStats {
-  uint64_t rounds = 0;        ///< fixpoint rounds (BFS: source count)
+  uint64_t rounds = 0;        ///< fixpoint rounds (columnar: sources)
   uint64_t pair_visits = 0;   ///< candidate pairs generated (incl. dups)
   /// True when a governed run stopped early at a round boundary because
   /// a resource budget tripped with ResourceBudget::return_partial set;
@@ -62,10 +62,10 @@ struct TcStats {
 /// for either costs one pointer test.
 ///
 /// When `governor` is set the kernels poll cancellation/deadline and any
-/// armed `tc.expand` fault at every round boundary (BFS: per source) and
-/// enforce the resource budgets (max_rounds against fixpoint rounds,
-/// max_result_rows against closure pairs, max_bytes against the
-/// closure's estimated bytes). Budget trips either fail with
+/// armed `tc.expand` fault at every round boundary and enforce the
+/// resource budgets (max_rounds against fixpoint rounds, max_result_rows
+/// against closure pairs, max_bytes against the closure's estimated
+/// bytes). Budget trips either fail with
 /// kBudgetExceeded or — with return_partial — stop at the boundary and
 /// return the partial closure with TcStats::truncated set. All checks
 /// compare deterministic quantities at deterministic points.
@@ -74,11 +74,6 @@ Result<storage::Relation> TransitiveClosure(
     TcStats* stats = nullptr, obs::Tracer* tracer = nullptr,
     obs::MetricsRegistry* metrics = nullptr,
     const gov::GovernorContext* governor = nullptr);
-
-/// \brief Closure of a single source: all y with source ->+ y. Linear-time
-/// BFS; the right tool when one endpoint is fixed (the Figure 12 query).
-Result<storage::Relation> ReachableFrom(const storage::Relation& edges,
-                                        const Value& source);
 
 }  // namespace graphlog::tc
 

@@ -7,7 +7,8 @@
 //    the naive/semi-naive engines against each other.
 //  * RandomPathExpr — =-free-at-top path regular expressions over a small
 //    label alphabet. Used to fuzz the three RPQ evaluation strategies
-//    (NFA product, DFA product, Datalog translation) against each other.
+//    (NFA product, DFA bitset kernel, Datalog translation) against each
+//    other.
 
 #ifndef GRAPHLOG_TESTING_RANDOM_PROGRAMS_H_
 #define GRAPHLOG_TESTING_RANDOM_PROGRAMS_H_

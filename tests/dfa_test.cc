@@ -1,5 +1,6 @@
 // Tests for the DFA pipeline: determinization, minimization, and
-// agreement with the NFA product evaluator.
+// agreement of the DFA bitset kernel (EvalRpqBitset) with the NFA product
+// evaluator.
 
 #include <gtest/gtest.h>
 
@@ -90,7 +91,7 @@ TEST_P(DfaVsNfaTest, SameResultsOnRandomGraphs) {
     ASSERT_OK_AND_ASSIGN(gl::PathExpr expr,
                          gl::ParsePathExpr(expr_text, &db.symbols()));
     ASSERT_OK_AND_ASSIGN(Relation via_nfa, EvalRpq(g, expr));
-    ASSERT_OK_AND_ASSIGN(Relation via_dfa, EvalRpqDfa(g, expr));
+    ASSERT_OK_AND_ASSIGN(Relation via_dfa, EvalRpqBitset(g, expr));
     EXPECT_TRUE(via_nfa.SetEquals(via_dfa))
         << "expr " << expr_text << " seed " << seed << ": nfa="
         << via_nfa.size() << " dfa=" << via_dfa.size();
@@ -113,21 +114,8 @@ TEST(DfaEvalTest, FixedEndpointsWork) {
   RpqOptions opts;
   opts.source = Value::Sym(db.Intern("a"));
   opts.target = Value::Sym(db.Intern("c"));
-  ASSERT_OK_AND_ASSIGN(Relation r, EvalRpqDfa(g, expr, opts));
+  ASSERT_OK_AND_ASSIGN(Relation r, EvalRpqBitset(g, expr, opts));
   EXPECT_EQ(r.size(), 1u);
-}
-
-TEST(DfaEvalTest, DfaVisitsNoMoreProductStates) {
-  Database db;
-  ASSERT_OK(workload::RandomDigraph(40, 120, 9, &db, "p"));
-  DataGraph g = DataGraph::FromDatabase(db);
-  ASSERT_OK_AND_ASSIGN(gl::PathExpr expr,
-                       gl::ParsePathExpr("(p | p p)+", &db.symbols()));
-  RpqStats nfa_stats, dfa_stats;
-  ASSERT_OK(EvalRpq(g, expr, {}, &nfa_stats).status());
-  ASSERT_OK(EvalRpqDfa(g, expr, {}, &dfa_stats).status());
-  EXPECT_LE(dfa_stats.product_states_visited,
-            nfa_stats.product_states_visited);
 }
 
 }  // namespace

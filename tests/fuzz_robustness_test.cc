@@ -245,7 +245,9 @@ TEST(FuzzRobustnessTest, InterleavedCacheViewOpsMatchColdRecomputation) {
           auto before = ExactContents(hot);
           QueryResponse r = run_cached(kHopText);
           EXPECT_FALSE(r.served_from_view);
-          if (r.cache_hit) EXPECT_EQ(ExactContents(hot), before);
+          if (r.cache_hit) {
+            EXPECT_EQ(ExactContents(hot), before);
+          }
           EXPECT_EQ(testutil::RelationSet(hot, "hop"),
                     cold_answer(kHopText, "hop"));
           break;

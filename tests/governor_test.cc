@@ -25,7 +25,6 @@
 #include "storage/database.h"
 #include "storage/io.h"
 #include "tc/columnar_tc.h"
-#include "tc/parallel_tc.h"
 #include "tc/transitive_closure.h"
 #include "tests/test_util.h"
 #include "workload/generators.h"
@@ -349,61 +348,6 @@ TEST(TcGovernorTest, PartialBudgetTruncates) {
   EXPECT_GT(closure.size(), 0u);
 }
 
-TEST(TcGovernorTest, ParallelPartialRowCapDeterministicAcrossThreads) {
-  Database db;
-  ASSERT_OK(workload::RandomDigraph(40, 120, 7, &db));
-  const Relation& edges = *db.Find("edge");
-  Relation results[2] = {Relation(2), Relation(2)};
-  const unsigned threads[2] = {1, 4};
-  for (int i = 0; i < 2; ++i) {
-    gov::GovernorContext g;
-    g.budget.max_result_rows = 100;
-    g.budget.return_partial = true;
-    tc::TcStats stats;
-    ASSERT_OK_AND_ASSIGN(
-        results[i],
-        tc::ParallelTransitiveClosure(edges, threads[i], nullptr, &g,
-                                      &stats));
-    EXPECT_TRUE(stats.truncated);
-    EXPECT_EQ(results[i].size(), 100u);
-  }
-  EXPECT_EQ(results[0].rows(), results[1].rows());
-}
-
-TEST(TcGovernorTest, ParallelCancelLandsWellUnderStall) {
-  // Arm a 5-second stall on every tc.expand hit, start a parallel
-  // closure of a 200-node graph, cancel ~50 ms in: the cancel must land
-  // orders of magnitude before the stall would have drained (the
-  // acceptance bound for shell Ctrl-C latency).
-  Database db;
-  ASSERT_OK(workload::RandomDigraph(200, 800, 11, &db));
-  const Relation& edges = *db.Find("edge");
-  gov::FaultInjector fi;
-  gov::FaultSpec spec;
-  spec.action = gov::FaultAction::kStall;
-  spec.stall_ms = 5000;
-  spec.repeat = true;
-  fi.Arm("tc.expand", spec);
-  gov::GovernorContext g;
-  g.faults = &fi;
-  gov::CancellationToken token = g.token;
-
-  Status result = Status::OK();
-  const auto start = std::chrono::steady_clock::now();
-  std::thread worker([&] {
-    auto r = tc::ParallelTransitiveClosure(edges, 4, nullptr, &g);
-    result = r.status();
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  token.Cancel();
-  worker.join();
-  const auto elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                              std::chrono::steady_clock::now() - start)
-                              .count();
-  EXPECT_EQ(result.code(), StatusCode::kCancelled) << result.ToString();
-  EXPECT_LT(elapsed_ms, 2500);  // one stall is 5000 ms; N sources stall
-}
-
 // ---------------------------------------------------------------------------
 // Columnar kernels and the columnar engine path.
 
@@ -462,9 +406,31 @@ TEST(ColumnarGovernorTest, PartialByteBudgetTruncates) {
   }
 }
 
+TEST(ColumnarGovernorTest, PartialByteBudgetBelowOneRowKeepsNoRows) {
+  // A byte budget under one row's estimate caps the closure at 0 rows,
+  // alone or under a looser row cap.
+  Database db;
+  LoadChain(&db, 10);
+  const Relation& edges = *db.Find("edge");
+  for (uint64_t max_rows : {0u, 5u}) {
+    gov::GovernorContext g;
+    g.budget.max_bytes = 1;
+    g.budget.max_result_rows = max_rows;
+    g.budget.return_partial = true;
+    tc::TcStats stats;
+    ASSERT_OK_AND_ASSIGN(
+        Relation capped,
+        tc::ColumnarTransitiveClosure(edges, 0, nullptr, &g, &stats));
+    EXPECT_TRUE(stats.truncated) << "max_result_rows " << max_rows;
+    EXPECT_EQ(capped.size(), 0u) << "max_result_rows " << max_rows;
+  }
+}
+
 TEST(ColumnarGovernorTest, CancelLandsWellUnderStall) {
-  // Mirror of the row kernel's Ctrl-C latency bound: a 5-second stall on
-  // every tc.expand hit must not hold a cancelled columnar BFS hostage.
+  // Arm a 5-second stall on every tc.expand hit, start a 4-lane closure
+  // of a 200-node graph, cancel ~50 ms in: the cancel must land orders of
+  // magnitude before the stall would have drained (the acceptance bound
+  // for shell Ctrl-C latency).
   Database db;
   ASSERT_OK(workload::RandomDigraph(200, 800, 11, &db));
   const Relation& edges = *db.Find("edge");
@@ -491,7 +457,7 @@ TEST(ColumnarGovernorTest, CancelLandsWellUnderStall) {
                               std::chrono::steady_clock::now() - start)
                               .count();
   EXPECT_EQ(result.code(), StatusCode::kCancelled) << result.ToString();
-  EXPECT_LT(elapsed_ms, 2500);
+  EXPECT_LT(elapsed_ms, 2500);  // one stall is 5000 ms; N sources stall
 }
 
 TEST(ColumnarGovernorTest, CsrBuildFaultFailsKernel) {

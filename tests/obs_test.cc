@@ -352,7 +352,9 @@ TEST(KernelSpanTest, TransitiveClosureRecordsTcSpan) {
   bool saw_rounds = false;
   for (const auto& [k, v] : s.attrs) {
     if (k == "rounds") saw_rounds = v > 0;
-    if (k == "pairs") EXPECT_EQ(static_cast<size_t>(v), r->size());
+    if (k == "pairs") {
+      EXPECT_EQ(static_cast<size_t>(v), r->size());
+    }
   }
   EXPECT_TRUE(saw_rounds);
 }

@@ -1,10 +1,11 @@
-// Tests for the transitive-closure kernels: all four algorithms agree with
-// each other and with hand-computed closures; parameterized over algorithm.
+// Tests for the transitive-closure kernels: the round-based algorithms and
+// the columnar kernel (at 1 and 4 lanes) reproduce hand-computed closures
+// and agree with kNaive, the oracle; parameterized over kernel.
 
 #include <gtest/gtest.h>
 
 #include "storage/relation.h"
-#include "tc/parallel_tc.h"
+#include "tc/columnar_tc.h"
 #include "tc/transitive_closure.h"
 #include "tests/test_util.h"
 #include "workload/generators.h"
@@ -62,14 +63,16 @@ TEST_P(TcAlgorithmTest, SelfLoopOnly) {
   EXPECT_EQ(tc.size(), 1u);
 }
 
+// The per-source BFS here is the columnar kernel, itself checked against
+// kNaive by ColumnarCorpusTest below, so every instance (kNaive included)
+// compares two independent algorithms.
 TEST_P(TcAlgorithmTest, AgreesWithBfsOnRandomGraphs) {
   for (uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
     Database db;
     ASSERT_OK(workload::RandomDigraph(25, 60, seed, &db));
     const Relation& edges = *db.Find("edge");
     ASSERT_OK_AND_ASSIGN(Relation got, TransitiveClosure(edges, GetParam()));
-    ASSERT_OK_AND_ASSIGN(Relation oracle,
-                         TransitiveClosure(edges, TcAlgorithm::kBfs));
+    ASSERT_OK_AND_ASSIGN(Relation oracle, ColumnarTransitiveClosure(edges));
     EXPECT_TRUE(got.SetEquals(oracle)) << "seed " << seed;
   }
 }
@@ -77,8 +80,7 @@ TEST_P(TcAlgorithmTest, AgreesWithBfsOnRandomGraphs) {
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, TcAlgorithmTest,
                          ::testing::Values(TcAlgorithm::kNaive,
                                            TcAlgorithm::kSemiNaive,
-                                           TcAlgorithm::kSquaring,
-                                           TcAlgorithm::kBfs),
+                                           TcAlgorithm::kSquaring),
                          [](const auto& info) {
                            switch (info.param) {
                              case TcAlgorithm::kNaive:
@@ -87,11 +89,65 @@ INSTANTIATE_TEST_SUITE_P(AllAlgorithms, TcAlgorithmTest,
                                return "SemiNaive";
                              case TcAlgorithm::kSquaring:
                                return "Squaring";
-                             case TcAlgorithm::kBfs:
-                               return "Bfs";
                            }
                            return "Unknown";
                          });
+
+// The same corpus through the columnar kernel, parameterized over lane
+// count: equal to kNaive as a set, and in the single-lane run's
+// insertion order at every lane count.
+class ColumnarCorpusTest : public ::testing::TestWithParam<unsigned> {
+ protected:
+  Relation Close(const Relation& edges) {
+    Result<Relation> got = ColumnarTransitiveClosure(edges, GetParam());
+    Result<Relation> one_lane = ColumnarTransitiveClosure(edges, 1);
+    Result<Relation> oracle = TransitiveClosure(edges, TcAlgorithm::kNaive);
+    if (!got.ok() || !one_lane.ok() || !oracle.ok()) {
+      ADD_FAILURE() << "a closure kernel failed";
+      return Relation(2);
+    }
+    EXPECT_TRUE(got->SetEquals(*oracle)) << "differs from kNaive";
+    EXPECT_EQ(got->rows(), one_lane->rows())
+        << "insertion order differs from the single-lane run";
+    return std::move(got).ValueOrDie();
+  }
+};
+
+TEST_P(ColumnarCorpusTest, ChainClosure) {
+  Database db;
+  EXPECT_EQ(Close(MakeEdges(&db, {{0, 1}, {1, 2}, {2, 3}, {3, 4}})).size(),
+            10u);
+}
+
+TEST_P(ColumnarCorpusTest, CycleClosure) {
+  Database db;
+  EXPECT_EQ(Close(MakeEdges(&db, {{0, 1}, {1, 2}, {2, 0}})).size(), 9u);
+}
+
+TEST_P(ColumnarCorpusTest, DisconnectedComponents) {
+  Database db;
+  EXPECT_EQ(Close(MakeEdges(&db, {{0, 1}, {2, 3}})).size(), 2u);
+}
+
+TEST_P(ColumnarCorpusTest, EmptyRelation) {
+  EXPECT_TRUE(Close(Relation(2)).empty());
+}
+
+TEST_P(ColumnarCorpusTest, SelfLoopOnly) {
+  Database db;
+  EXPECT_EQ(Close(MakeEdges(&db, {{0, 0}})).size(), 1u);
+}
+
+TEST_P(ColumnarCorpusTest, AgreesWithNaiveOnRandomGraphs) {
+  for (uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Database db;
+    ASSERT_OK(workload::RandomDigraph(25, 60, seed, &db));
+    Close(*db.Find("edge"));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Lanes, ColumnarCorpusTest, ::testing::Values(1u, 4u));
 
 TEST(TcStatsTest, SquaringUsesFewerRounds) {
   Database db;
@@ -119,66 +175,13 @@ TEST(TcStatsTest, NaiveVisitsMorePairsThanSemiNaive) {
 
 TEST(TcTest, WrongArityRejected) {
   Relation r(3);
-  EXPECT_FALSE(TransitiveClosure(r, TcAlgorithm::kBfs).ok());
-}
-
-TEST(ReachableFromTest, SingleSource) {
-  Database db;
-  Relation edges =
-      MakeEdges(&db, {{0, 1}, {1, 2}, {3, 4}});  // two components
-  ASSERT_OK_AND_ASSIGN(
-      Relation reach,
-      ReachableFrom(edges, Value::Sym(db.Intern("n0"))));
-  EXPECT_EQ(reach.size(), 2u);  // n1, n2
-}
-
-TEST(ReachableFromTest, PositiveClosureExcludesSourceWithoutCycle) {
-  Database db;
-  Relation edges = MakeEdges(&db, {{0, 1}});
-  ASSERT_OK_AND_ASSIGN(
-      Relation reach,
-      ReachableFrom(edges, Value::Sym(db.Intern("n0"))));
-  EXPECT_EQ(reach.size(), 1u);
-  EXPECT_FALSE(reach.Contains(Tuple{Value::Sym(db.Intern("n0"))}));
-}
-
-TEST(ReachableFromTest, CycleIncludesSource) {
-  Database db;
-  Relation edges = MakeEdges(&db, {{0, 1}, {1, 0}});
-  ASSERT_OK_AND_ASSIGN(
-      Relation reach,
-      ReachableFrom(edges, Value::Sym(db.Intern("n0"))));
-  EXPECT_TRUE(reach.Contains(Tuple{Value::Sym(db.Intern("n0"))}));
-}
-
-TEST(ParallelTcTest, MatchesSequentialAcrossThreadCounts) {
-  for (unsigned threads : {1u, 2u, 4u}) {
-    Database db;
-    ASSERT_OK(workload::RandomDigraph(30, 80, 77, &db));
-    const Relation& edges = *db.Find("edge");
-    ASSERT_OK_AND_ASSIGN(Relation par,
-                         ParallelTransitiveClosure(edges, threads));
-    ASSERT_OK_AND_ASSIGN(Relation seq,
-                         TransitiveClosure(edges, TcAlgorithm::kBfs));
-    EXPECT_TRUE(par.SetEquals(seq)) << threads << " threads";
+  EXPECT_EQ(TransitiveClosure(r, TcAlgorithm::kNaive).status().code(),
+            StatusCode::kInvalidArgument);
+  for (unsigned lanes : {1u, 4u}) {
+    EXPECT_EQ(ColumnarTransitiveClosure(r, lanes).status().code(),
+              StatusCode::kInvalidArgument)
+        << lanes << " lanes";
   }
-}
-
-TEST(ParallelTcTest, EmptyAndWrongArity) {
-  Relation empty(2);
-  ASSERT_OK_AND_ASSIGN(Relation tc, ParallelTransitiveClosure(empty, 2));
-  EXPECT_TRUE(tc.empty());
-  Relation bad(3);
-  EXPECT_FALSE(ParallelTransitiveClosure(bad, 2).ok());
-}
-
-TEST(ReachableFromTest, UnknownSourceIsEmpty) {
-  Database db;
-  Relation edges = MakeEdges(&db, {{0, 1}});
-  ASSERT_OK_AND_ASSIGN(
-      Relation reach,
-      ReachableFrom(edges, Value::Sym(db.Intern("missing"))));
-  EXPECT_TRUE(reach.empty());
 }
 
 }  // namespace
