@@ -9,9 +9,7 @@
 //
 // The Report() section cross-checks bit-identical rows and stats and
 // prints the median speedup at the largest size; the google-benchmark
-// timings show the shape across sizes. The columnar closure and RPQ
-// kernels are timed by bench_tc_ablation, bench_parallel_tc and
-// bench_rpq_ablation.
+// timings show the shape across sizes.
 
 #include <benchmark/benchmark.h>
 
