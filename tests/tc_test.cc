@@ -184,5 +184,15 @@ TEST(TcTest, WrongArityRejected) {
   }
 }
 
+// The multi-lane columnar kernel is the parallel closure: an empty edge set
+// closes to nothing and a non-binary relation is refused.
+TEST(ParallelTcTest, EmptyAndWrongArity) {
+  Relation empty(2);
+  ASSERT_OK_AND_ASSIGN(Relation tc, ColumnarTransitiveClosure(empty, 2));
+  EXPECT_TRUE(tc.empty());
+  Relation bad(3);
+  EXPECT_FALSE(ColumnarTransitiveClosure(bad, 2).ok());
+}
+
 }  // namespace
 }  // namespace graphlog::tc
