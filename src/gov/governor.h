@@ -80,6 +80,7 @@ class CancellationToken {
 };
 
 /// \brief A wall-clock cutoff. Default-constructed deadlines never expire.
+/// Offsets saturate: a deadline past the clock's range never expires.
 class Deadline {
  public:
   Deadline() = default;
@@ -87,11 +88,16 @@ class Deadline {
   static Deadline AfterNanos(uint64_t ns) {
     Deadline d;
     d.armed_ = true;
-    d.at_ = std::chrono::steady_clock::now() + std::chrono::nanoseconds(ns);
+    const auto now = std::chrono::steady_clock::now();
+    const std::chrono::nanoseconds headroom = decltype(now)::max() - now;
+    d.at_ = ns < static_cast<uint64_t>(headroom.count())
+                ? now + std::chrono::nanoseconds(ns)
+                : decltype(now)::max();
     return d;
   }
   static Deadline AfterMillis(uint64_t ms) {
-    return AfterNanos(ms * 1'000'000ull);
+    return AfterNanos(ms > UINT64_MAX / 1'000'000 ? UINT64_MAX
+                                                  : ms * 1'000'000);
   }
 
   bool armed() const { return armed_; }

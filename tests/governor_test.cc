@@ -84,6 +84,14 @@ TEST(DeadlineTest, FutureDeadlineNotExpired) {
   EXPECT_FALSE(d.expired());
 }
 
+TEST(DeadlineTest, DeadlinesPastTheClockRangeSaturateAndNeverExpire) {
+  // Neither offset may wrap into a signed duration in the past.
+  EXPECT_FALSE(gov::Deadline::AfterNanos(UINT64_MAX).expired());
+  EXPECT_FALSE(gov::Deadline::AfterMillis(UINT64_MAX).expired());
+  // ~295 years: fits uint64 nanoseconds but not signed nanoseconds.
+  EXPECT_FALSE(gov::Deadline::AfterMillis(9'300'000'000'000).expired());
+}
+
 TEST(GovernorContextTest, NullCheckpointIsOk) {
   EXPECT_OK(gov::CheckPoint(nullptr, "anything"));
 }

@@ -355,6 +355,21 @@ TEST(NetServerTest, RemoteGovernedQueriesKeepTheStatusTaxonomy) {
   EXPECT_FALSE(partial->truncated_by.empty());
 }
 
+TEST(NetServerTest, ClientDeadlinePastTheClockRangeNeverExpires) {
+  Server server;
+  SeedEdges(&server);
+  auto ns = Serve(&server);
+  ASSERT_NE(ns, nullptr);
+  auto client = Connect(*ns);
+  ASSERT_NE(client, nullptr);
+  ASSERT_OK(client->OpenSession().status());
+  // deadline_ms arrives from the client unchecked; a huge value must not
+  // become a deadline that has already passed.
+  net::WireQuery q = TcQuery();
+  q.deadline_ms = UINT64_MAX;
+  ASSERT_OK(client->Run(q).status());
+}
+
 TEST(NetServerTest, ClientCapturesLoadFilesAndServerRejectsRemotePaths) {
   Server server;
   auto ns = Serve(&server);
