@@ -37,14 +37,18 @@
 # under TSan; the bitset frontiers and CSR spans are index arithmetic
 # ASan checks.
 #
+# The shell label (shell_test) drives the graphlog_shell binary end to
+# end: its .connect cases start an in-process NetServer, and `.serve`
+# runs listener threads inside the shell process, so both lanes run it.
+#
 # Usage: scripts/run_sanitizer_lanes.sh [LABEL] [BUILD_ROOT]
-# Defaults: LABEL = 'robustness|cache|profile|durability|net|kernels' (a
+# Defaults: LABEL = 'robustness|cache|profile|durability|net|kernels|shell' (a
 # ctest -L regex), BUILD_ROOT = build-san (creates ${BUILD_ROOT}-thread
 # and ${BUILD_ROOT}-address).
 
 set -euo pipefail
 
-LABEL="${1:-robustness|cache|profile|durability|net|kernels}"
+LABEL="${1:-robustness|cache|profile|durability|net|kernels|shell}"
 BUILD_ROOT="${2:-build-san}"
 SRC_DIR="$(cd "$(dirname "$0")/.." && pwd)"
 JOBS="$(nproc 2>/dev/null || echo 4)"
