@@ -147,10 +147,11 @@ void Report() {
   auto r = Run(req, &db);
   CheckOk(r.status(), "traced figure 4 query");
   obs::MetricsSnapshot snap = registry.Snapshot();
-  std::printf("traced run: %zu root spans, %zu counters, explain %zu "
+  std::printf("traced run: %zu root spans, %llu rule firings, explain %zu "
               "bytes, deterministic export %zu bytes\n",
               r->trace.spans.size(),
-              r->trace.metrics.counters().size(), r->explain.size(),
+              static_cast<unsigned long long>(r->stats.datalog.rule_firings),
+              r->explain.size(),
               r->trace.ToJson(/*include_timings=*/false).size());
   std::printf("registry: %zu counters, %zu gauges, %zu histograms, "
               "deterministic export %zu bytes\n",

@@ -485,7 +485,7 @@ class Shell {
   bool HandleTrace(const std::string& arg) {
     if (SetFlag(arg, &opts_.observability.tracing, "tracing")) return true;
     if (!arg.empty() && arg != "json") return false;
-    if (last_trace_.spans.empty() && last_trace_.metrics.empty()) {
+    if (last_trace_.empty()) {
       std::printf("no trace recorded; .trace on, then run a query\n");
     } else if (arg == "json") {
       std::printf("%s\n", last_trace_.ToJson().c_str());

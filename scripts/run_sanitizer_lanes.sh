@@ -41,14 +41,21 @@
 # end: its .connect cases start an in-process NetServer, and `.serve`
 # runs listener threads inside the shell process, so both lanes run it.
 #
+# The obs label (obs_test, metrics_test, parallel_eval_test, and
+# profile_test again) covers the instrumentation itself: the engine's
+# per-lane busy-time slots and its `eval.*` registry export sit next to
+# the worker lanes, and the metrics registry's concurrency test registers
+# and updates instruments from many threads at once — a TSan workload by
+# construction.
+#
 # Usage: scripts/run_sanitizer_lanes.sh [LABEL] [BUILD_ROOT]
-# Defaults: LABEL = 'robustness|cache|profile|durability|net|kernels|shell' (a
-# ctest -L regex), BUILD_ROOT = build-san (creates ${BUILD_ROOT}-thread
-# and ${BUILD_ROOT}-address).
+# Defaults: LABEL = 'robustness|cache|profile|durability|net|kernels|shell|obs'
+# (a ctest -L regex), BUILD_ROOT = build-san (creates
+# ${BUILD_ROOT}-thread and ${BUILD_ROOT}-address).
 
 set -euo pipefail
 
-LABEL="${1:-robustness|cache|profile|durability|net|kernels|shell}"
+LABEL="${1:-robustness|cache|profile|durability|net|kernels|shell|obs}"
 BUILD_ROOT="${2:-build-san}"
 SRC_DIR="$(cd "$(dirname "$0")/.." && pwd)"
 JOBS="$(nproc 2>/dev/null || echo 4)"

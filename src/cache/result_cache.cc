@@ -236,6 +236,7 @@ void ResultCache::ExportMetrics(obs::MetricsRegistry* registry) const {
   registry->gauge("cache.misses")->Set(static_cast<int64_t>(s.misses));
   registry->gauge("cache.evictions")->Set(static_cast<int64_t>(s.evictions));
   registry->gauge("cache.inserts")->Set(static_cast<int64_t>(s.inserts));
+  registry->gauge("cache.rejected")->Set(static_cast<int64_t>(s.rejected));
   registry->gauge("cache.bytes")->Set(static_cast<int64_t>(s.bytes));
   registry->gauge("cache.entries")->Set(static_cast<int64_t>(s.entries));
 }

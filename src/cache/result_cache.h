@@ -109,9 +109,9 @@ class ResultCache {
 
   ResultCacheStats Stats() const;
 
-  /// \brief Publishes `cache.hits/replays/misses/evictions/inserts/bytes/
-  /// entries` gauges into `registry` (absolute values, like the `db.*`
-  /// resource gauges); no-op when null.
+  /// \brief Publishes `cache.hits/replays/misses/evictions/inserts/
+  /// rejected/bytes/entries` gauges into `registry` (absolute values, like
+  /// the `db.*` resource gauges); no-op when null.
   void ExportMetrics(obs::MetricsRegistry* registry) const;
 
   size_t max_bytes() const { return max_bytes_; }

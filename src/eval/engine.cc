@@ -183,26 +183,15 @@ class Engine {
     }
     stats_.index_builds -= base_builds;
     stats_.index_appends -= base_appends;
-    if (options_.tracer != nullptr) {
-      obs::Metrics& m = options_.tracer->metrics();
-      m.Count("eval.iterations", stats_.iterations);
-      m.Count("eval.rule_firings", stats_.rule_firings);
-      m.Count("eval.tuples_derived", stats_.tuples_derived);
-      m.Count("eval.strata", stats_.strata);
-      m.Count("eval.index_builds", stats_.index_builds);
-      m.Count("eval.index_appends", stats_.index_appends);
-    }
     if (options_.metrics != nullptr) {
-      // One registration + one add per counter per run; the cumulative
-      // twins of the per-run tracer metrics above.
+      // One registration + one add per counter per run.
       obs::MetricsRegistry& m = *options_.metrics;
       m.counter("eval.runs")->Increment();
-      m.counter("eval.iterations")->Add(stats_.iterations);
-      m.counter("eval.rule_firings")->Add(stats_.rule_firings);
-      m.counter("eval.tuples_derived")->Add(stats_.tuples_derived);
-      m.counter("eval.strata")->Add(stats_.strata);
-      m.counter("eval.index_builds")->Add(stats_.index_builds);
-      m.counter("eval.index_appends")->Add(stats_.index_appends);
+      for (const EvalCounter& c : kEvalCounters) {
+        if (c.fold == CounterFold::kSum) {
+          m.counter(c.name)->Add(stats_.*c.field);
+        }
+      }
     }
     return stats_;
   }
@@ -392,8 +381,6 @@ class Engine {
         for (const auto& [p, d] : delta) {
           span.AddAttr("delta." + db_->symbols().name(p),
                        static_cast<int64_t>(d.size()));
-          options_.tracer->metrics().Observe(
-              "eval.delta_rows", static_cast<int64_t>(d.size()));
         }
       }
       if (delta_rows > stats_.peak_delta_rows) {

@@ -11,8 +11,10 @@
 #ifndef GRAPHLOG_EVAL_ENGINE_H_
 #define GRAPHLOG_EVAL_ENGINE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/result.h"
 #include "datalog/ast.h"
@@ -64,16 +66,16 @@ struct EvalOptions {
   unsigned num_threads = 1;
   /// When set, the engine records a span per stratification, stratum, and
   /// fixpoint round (delta sizes, rule firings, join-plan choice, per-lane
-  /// busy times) plus run-level counters into this tracer. Null (the
-  /// default) is the zero-overhead path: every instrumentation site is a
-  /// single pointer test. See obs/trace.h.
+  /// busy times) into this tracer. Null (the default) is the
+  /// zero-overhead path: every instrumentation site is a single pointer
+  /// test. See obs/trace.h.
   obs::Tracer* tracer = nullptr;
-  /// When set, the engine folds its cumulative counters (`eval.runs`,
-  /// `eval.rule_firings`, `eval.tuples_derived`, index maintenance) and
-  /// per-stratum/per-round distributions (`eval.stratum_rounds`,
-  /// `eval.delta_rows`) into this process-wide registry at the same sites
-  /// the tracer instruments. Null (the default) costs one pointer test;
-  /// updates are per-round/per-run, never per-tuple. See obs/metrics.h.
+  /// When set, the engine folds `eval.runs`, every summed counter of
+  /// kEvalCounters, and the per-stratum/per-round distributions
+  /// (`eval.stratum_rounds`, and `eval.delta_rows` — each round's
+  /// combined delta) into this process-wide registry. Null (the default)
+  /// costs one pointer test; updates are per-round/per-run, never
+  /// per-tuple. See obs/metrics.h.
   obs::MetricsRegistry* metrics = nullptr;
   /// When set, the engine is governed: cancellation and the deadline are
   /// polled per pool work item and at every fixpoint-round boundary,
@@ -139,28 +141,57 @@ struct EvalStats {
   /// round 10)"; empty unless truncated.
   std::string truncated_by{};
 
-  /// \brief Adds every counter of `other` into this one (peaks take the
-  /// max — the merged value is the peak over the combined run). The single
-  /// audited accumulation point for drivers that sum stats over multiple
-  /// engine runs (e.g. one per query graph) — field-by-field addition at
-  /// call sites silently dropped counters when new fields were added.
-  void Merge(const EvalStats& other) {
-    iterations += other.iterations;
-    rule_firings += other.rule_firings;
-    tuples_derived += other.tuples_derived;
-    strata += other.strata;
-    index_builds += other.index_builds;
-    index_appends += other.index_appends;
-    if (other.peak_delta_rows > peak_delta_rows) {
-      peak_delta_rows = other.peak_delta_rows;
-    }
-    if (other.peak_delta_bytes > peak_delta_bytes) {
-      peak_delta_bytes = other.peak_delta_bytes;
-    }
-    truncated |= other.truncated;
-    if (truncated_by.empty()) truncated_by = other.truncated_by;
-  }
+  /// \brief Folds `other` into this one, counter by counter as
+  /// kEvalCounters says (sums add, peaks take the max — the merged value
+  /// is the peak over the combined run). The single accumulation point
+  /// for drivers that sum stats over multiple engine runs (e.g. one per
+  /// query graph).
+  void Merge(const EvalStats& other);
 };
+
+/// \brief How a counter combines when runs are merged.
+enum class CounterFold : uint8_t {
+  kSum,  ///< totals add; exported as a registry counter of the same name
+  kMax,  ///< peaks take the max; per-query only (slow-query log)
+};
+
+/// \brief One EvalStats counter: its name, its field, and how it folds.
+struct EvalCounter {
+  /// "eval." + the field's name; a kSum counter's registry name.
+  std::string_view name;
+  uint64_t EvalStats::*field;
+  CounterFold fold;
+
+  /// \brief The field's name (the slow-query log's "stats" key).
+  std::string_view field_name() const { return name.substr(5); }
+};
+
+/// \brief Every counter of EvalStats, listed once. EvalStats::Merge, the
+/// engine's `eval.*` registry export (EvalOptions::metrics) and the
+/// slow-query record's stats are all derived from this list, so a new
+/// counter needs only its field and one entry here.
+inline constexpr EvalCounter kEvalCounters[] = {
+    {"eval.iterations", &EvalStats::iterations, CounterFold::kSum},
+    {"eval.rule_firings", &EvalStats::rule_firings, CounterFold::kSum},
+    {"eval.tuples_derived", &EvalStats::tuples_derived, CounterFold::kSum},
+    {"eval.strata", &EvalStats::strata, CounterFold::kSum},
+    {"eval.index_builds", &EvalStats::index_builds, CounterFold::kSum},
+    {"eval.index_appends", &EvalStats::index_appends, CounterFold::kSum},
+    {"eval.peak_delta_rows", &EvalStats::peak_delta_rows, CounterFold::kMax},
+    {"eval.peak_delta_bytes", &EvalStats::peak_delta_bytes,
+     CounterFold::kMax},
+};
+
+inline void EvalStats::Merge(const EvalStats& other) {
+  for (const EvalCounter& c : kEvalCounters) {
+    uint64_t& mine = this->*c.field;
+    const uint64_t theirs = other.*c.field;
+    mine = c.fold == CounterFold::kSum ? mine + theirs
+                                       : std::max(mine, theirs);
+  }
+  truncated |= other.truncated;
+  if (truncated_by.empty()) truncated_by = other.truncated_by;
+}
 
 /// \brief Evaluates `prog` against `db` (checking arity consistency,
 /// safety, and stratifiability first). IDB relations are created or

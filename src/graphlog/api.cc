@@ -246,6 +246,63 @@ cache::QueryKeyOptions KeyOptionsFor(QueryRequest::Language language,
   return ko;
 }
 
+/// Lambda-translates one query graph (Definition 2.4), then applies the
+/// bound-closure specialization when `options.translation` asks for it.
+/// `graph` names it in the span notes.
+Result<datalog::Program> TranslateGraph(const QueryGraph& g,
+                                        std::string_view graph,
+                                        const QueryOptions& options,
+                                        obs::Tracer* tracer, Database* db) {
+  Translation t;
+  {
+    obs::SpanGuard span(tracer, "translate");
+    span.AddNote("graph", graph);
+    GRAPHLOG_ASSIGN_OR_RETURN(t, gl::TranslateQueryGraph(g, &db->symbols()));
+    span.AddAttr("rules", static_cast<int64_t>(t.program.size()));
+    span.AddAttr("aux_predicates",
+                 static_cast<int64_t>(t.aux_predicates.size()));
+  }
+  if (options.translation.specialize_bound_closures) {
+    obs::SpanGuard span(tracer, "specialize");
+    span.AddNote("graph", graph);
+    GRAPHLOG_ASSIGN_OR_RETURN(
+        t.program,
+        translate::SpecializeBoundClosures(t.program, &db->symbols(),
+                                           {g.distinguished.predicate}));
+    span.AddAttr("rules", static_cast<int64_t>(t.program.size()));
+  }
+  return std::move(t.program);
+}
+
+/// Runs one program through the engine under an "evaluate" span and folds
+/// the run into `resp`: its rules join stats.programs (the provenance rule
+/// universe), its EvalStats merge into stats.datalog, and its profile, when
+/// profiling, is appended at the response level.
+Status EvaluateProgram(const datalog::Program& prog,
+                       const QueryOptions& options, obs::Tracer* tracer,
+                       std::string_view graph, Database* db,
+                       QueryResponse* resp) {
+  if (options.eval.provenance != nullptr) {
+    // Keep justification rule indexes valid into stats.programs.
+    options.eval.provenance->set_rule_offset(
+        static_cast<int>(resp->stats.programs.size()));
+  }
+  obs::SpanGuard span(tracer, "evaluate");
+  if (!graph.empty()) span.AddNote("graph", graph);
+  eval::EvalOptions eopts = options.eval;
+  obs::QueryProfile run_profile;
+  const bool prof = options.observability.profile && eopts.profile == nullptr;
+  if (prof) eopts.profile = &run_profile;
+  Result<eval::EvalStats> r = eval::Evaluate(prog, db, eopts);
+  // Append even on a governed abort: the profile of the rounds that did
+  // complete is what the slow-query log captures for the abort.
+  if (prof && !run_profile.empty()) resp->profile.AppendRun(run_profile);
+  GRAPHLOG_RETURN_NOT_OK(r.status());
+  resp->stats.programs.Append(prog);
+  resp->stats.datalog.Merge(*r);
+  return Status::OK();
+}
+
 Status RunGraphLog(const QueryRequest& req, const QueryOptions& options,
                    obs::Tracer* tracer, Database* db, QueryResponse* resp,
                    std::set<Symbol>* touched) {
@@ -297,62 +354,19 @@ Status RunGraphLog(const QueryRequest& req, const QueryOptions& options,
       GRAPHLOG_RETURN_NOT_OK(RunSummaryGraph(g, db, &stats));
       continue;
     }
-    Translation t;
-    {
-      obs::SpanGuard span(tracer, "translate");
-      span.AddNote("graph", head);
-      GRAPHLOG_ASSIGN_OR_RETURN(t,
-                                gl::TranslateQueryGraph(g, &db->symbols()));
-      span.AddAttr("rules", static_cast<int64_t>(t.program.size()));
-      span.AddAttr("aux_predicates",
-                   static_cast<int64_t>(t.aux_predicates.size()));
-    }
-    if (options.translation.specialize_bound_closures) {
-      obs::SpanGuard span(tracer, "specialize");
-      span.AddNote("graph", head);
-      GRAPHLOG_ASSIGN_OR_RETURN(
-          t.program,
-          translate::SpecializeBoundClosures(t.program, &db->symbols(),
-                                             {g.distinguished.predicate}));
-      span.AddAttr("rules", static_cast<int64_t>(t.program.size()));
-    }
+    GRAPHLOG_ASSIGN_OR_RETURN(datalog::Program prog,
+                              TranslateGraph(g, head, options, tracer, db));
     if (touched != nullptr) {
-      for (Symbol p : t.program.AllPredicates()) touched->insert(p);
+      for (Symbol p : prog.AllPredicates()) touched->insert(p);
     }
     if (explain) {
       resp->explain += "graph " + head + ":\n" +
-                       RenderProgramExplain(t.program, rule_offset, db);
+                       RenderProgramExplain(prog, rule_offset, db);
     }
-    rule_offset += t.program.size();
+    rule_offset += prog.size();
     if (!execute) continue;
-    if (options.eval.provenance != nullptr) {
-      // Keep justification rule indexes valid into stats.programs.
-      options.eval.provenance->set_rule_offset(
-          static_cast<int>(stats.programs.size()));
-    }
-    eval::EvalStats es;
-    {
-      obs::SpanGuard span(tracer, "evaluate");
-      span.AddNote("graph", head);
-      // Each engine run profiles into a fresh per-graph buffer; AppendRun
-      // concatenates rule profiles at the response level following the
-      // same rule_offset discipline as stats.programs.
-      eval::EvalOptions eopts = options.eval;
-      obs::QueryProfile run_profile;
-      const bool prof =
-          options.observability.profile && eopts.profile == nullptr;
-      if (prof) eopts.profile = &run_profile;
-      Result<eval::EvalStats> r = eval::Evaluate(t.program, db, eopts);
-      // Append even on a governed abort: the profile of the rounds that
-      // did complete is what the slow-query log captures for the abort.
-      if (prof && !run_profile.empty()) {
-        resp->profile.AppendRun(run_profile);
-      }
-      if (!r.ok()) return r.status();
-      es = std::move(*r);
-    }
-    stats.programs.Append(t.program);
-    stats.datalog.Merge(es);
+    GRAPHLOG_RETURN_NOT_OK(
+        EvaluateProgram(prog, options, tracer, head, db, resp));
     ++stats.graphs_translated;
     // A budget trip with return_partial ends the whole query at this
     // graph: downstream graphs would read the truncated fixpoint and
@@ -363,12 +377,6 @@ Status RunGraphLog(const QueryRequest& req, const QueryOptions& options,
   for (Symbol p : q->IdbPredicates()) {
     const Relation* rel = db->Find(p);
     if (rel != nullptr) stats.result_tuples += rel->size();
-  }
-  if (tracer != nullptr) {
-    obs::Metrics& m = tracer->metrics();
-    m.Count("query.graphs_translated", stats.graphs_translated);
-    m.Count("query.graphs_summarized", stats.graphs_summarized);
-    m.Count("query.result_tuples", stats.result_tuples);
   }
   return Status::OK();
 }
@@ -394,33 +402,11 @@ Status RunDatalog(const QueryRequest& req, const QueryOptions& options,
   if (explain) resp->explain += RenderProgramExplain(prog, 0, db);
   if (options.observability.explain_only) return Status::OK();
 
-  if (options.eval.provenance != nullptr) {
-    options.eval.provenance->set_rule_offset(0);
-  }
-  eval::EvalStats es;
-  {
-    obs::SpanGuard span(tracer, "evaluate");
-    eval::EvalOptions eopts = options.eval;
-    obs::QueryProfile run_profile;
-    const bool prof =
-        options.observability.profile && eopts.profile == nullptr;
-    if (prof) eopts.profile = &run_profile;
-    Result<eval::EvalStats> r = eval::Evaluate(prog, db, eopts);
-    if (prof && !run_profile.empty()) {
-      resp->profile.AppendRun(run_profile);
-    }
-    if (!r.ok()) return r.status();
-    es = std::move(*r);
-  }
-  resp->stats.datalog.Merge(es);
+  GRAPHLOG_RETURN_NOT_OK(
+      EvaluateProgram(prog, options, tracer, {}, db, resp));
   for (Symbol p : prog.HeadPredicates()) {
     const Relation* rel = db->Find(p);
     if (rel != nullptr) resp->stats.result_tuples += rel->size();
-  }
-  resp->stats.programs = std::move(prog);
-  if (tracer != nullptr) {
-    tracer->metrics().Count("query.result_tuples",
-                            resp->stats.result_tuples);
   }
   return Status::OK();
 }
@@ -576,12 +562,10 @@ Result<QueryResponse> detail::RunPipeline(const QueryRequest& req,
     // Captures the profile of governed aborts too — where the query was
     // when it died is exactly what the record is for.
     if (!resp.profile.empty()) rec.profile_json = resp.profile.ToJson();
-    rec.tuples_derived = resp.stats.datalog.tuples_derived;
-    rec.rule_firings = resp.stats.datalog.rule_firings;
-    rec.iterations = resp.stats.datalog.iterations;
-    rec.result_tuples = resp.stats.result_tuples;
-    rec.peak_delta_rows = resp.stats.datalog.peak_delta_rows;
-    rec.peak_delta_bytes = resp.stats.datalog.peak_delta_bytes;
+    for (const eval::EvalCounter& c : eval::kEvalCounters) {
+      rec.stats.emplace_back(c.field_name(), resp.stats.datalog.*c.field);
+    }
+    rec.stats.emplace_back("result_tuples", resp.stats.result_tuples);
     slow_log->Record(std::move(rec));
   }
   if (!caller_explain &&
@@ -615,15 +599,9 @@ Result<cache::ViewDefinition> MakeViewDefinition(std::string name,
           "a materialized view cannot contain a summarization graph (the "
           "Section 4 operator has no incremental maintenance)");
     }
-    GRAPHLOG_ASSIGN_OR_RETURN(Translation t,
-                              gl::TranslateQueryGraph(g, &db->symbols()));
-    if (options.translation.specialize_bound_closures) {
-      GRAPHLOG_ASSIGN_OR_RETURN(
-          t.program,
-          translate::SpecializeBoundClosures(t.program, &db->symbols(),
-                                             {g.distinguished.predicate}));
-    }
-    def.program.Append(t.program);
+    GRAPHLOG_ASSIGN_OR_RETURN(datalog::Program prog,
+                              TranslateGraph(g, {}, options, nullptr, db));
+    def.program.Append(prog);
     ++def.graphs;
   }
   def.distinguished = q.graphs.back().distinguished.predicate;

@@ -13,9 +13,9 @@
 //
 // A request names the query (GraphLog surface text, a parsed
 // GraphicalQuery, or raw Datalog text) and carries every knob in one
-// nested QueryOptions; the response carries the stats, the observability
-// artifacts (span tree + metrics, see obs/trace.h), and the EXPLAIN
-// rendering when requested. The deprecated free-function sprawl is gone.
+// nested QueryOptions; the response carries the stats (the query's one
+// counter record), the observability artifacts (span tree, see
+// obs/trace.h), and the EXPLAIN rendering when requested. The deprecated free-function sprawl is gone.
 //
 // For concurrent callers, the server layer (server/server.h, re-exported
 // at the bottom of this header so one include is the whole public
@@ -48,7 +48,9 @@ struct ViewDefinition;   // cache/view_catalog.h
 
 namespace gl {
 
-/// \brief Statistics for one query evaluation.
+/// \brief Statistics for one query evaluation: the query's only counter
+/// record. The slow-query log's stats are derived from it; the trace
+/// keeps spans only.
 struct QueryStats {
   eval::EvalStats datalog;       ///< accumulated Datalog engine stats
   uint64_t graphs_translated = 0;
@@ -88,8 +90,8 @@ struct QueryOptions {
 
   struct Observability {
     /// Record a hierarchical span tree (parse -> translate -> stratify ->
-    /// per-stratum fixpoint rounds -> summarize) plus counters/histograms
-    /// into QueryResponse::trace. Off by default; the disabled path costs
+    /// per-stratum fixpoint rounds -> summarize) into
+    /// QueryResponse::trace. Off by default; the disabled path costs
     /// one pointer test per instrumentation site.
     bool tracing = false;
     /// Render the translated program, stratum order, and chosen join
@@ -195,7 +197,7 @@ struct QueryRequest {
 /// \brief Everything a query evaluation produced.
 struct QueryResponse {
   gl::QueryStats stats;
-  /// Span tree + metrics; empty unless options.observability.tracing.
+  /// Span tree; empty unless options.observability.tracing.
   /// `trace.ToJson(false)` is byte-identical across num_threads settings.
   obs::TraceReport trace;
   /// EXPLAIN rendering; empty unless options.observability.explain.

@@ -7,6 +7,23 @@
 
 namespace graphlog::obs {
 
+void Histogram::Observe(int64_t value) {
+  if (count == 0) {
+    min = max = value;
+  } else {
+    if (value < min) min = value;
+    if (value > max) max = value;
+  }
+  ++count;
+  sum += value;
+  int width = 0;
+  for (uint64_t v = value < 0 ? 0 : static_cast<uint64_t>(value); v != 0;
+       v >>= 1) {
+    ++width;
+  }
+  ++buckets[width];
+}
+
 // ---------------------------------------------------------------------------
 // Registry
 
@@ -57,11 +74,6 @@ void MetricsRegistry::Reset() {
   for (auto& [_, c] : counters_) c->Reset();
   for (auto& [_, g] : gauges_) g->Reset();
   for (auto& [_, h] : histograms_) h->Reset();
-}
-
-MetricsRegistry& MetricsRegistry::Global() {
-  static MetricsRegistry* global = new MetricsRegistry();
-  return *global;
 }
 
 // ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 // Process-wide metrics: named counters, gauges, and histograms that
 // outlive any single query.
 //
-// The per-run obs::Metrics of trace.h answers "what did *this* evaluation
-// do"; a long-lived GraphLog service additionally needs the cumulative
-// view — how many rule firings since start, how much memory each relation
-// holds, how the fixpoint-round distribution looks across the whole
-// workload. MetricsRegistry is that layer: instruments are registered once
-// by name, updated through stable handles, and snapshotted on demand.
+// A query's own counters are its QueryStats (graphlog/api.h), returned in
+// QueryResponse::stats; a long-lived GraphLog service additionally needs
+// the cumulative view — how many rule firings since start, how much
+// memory each relation holds, how the fixpoint-round distribution looks
+// across the whole workload. MetricsRegistry is that layer: instruments
+// are registered once by name, updated through stable handles, and
+// snapshotted on demand. The engine derives its `eval.*` counters from
+// the one EvalStats counter list (eval/engine.h).
 //
 // Design constraints:
 //   * Cheap, thread-safe updates. Counter/Gauge are single relaxed
@@ -37,9 +39,23 @@
 #include <string_view>
 
 #include "common/result.h"
-#include "obs/trace.h"
 
 namespace graphlog::obs {
+
+/// \brief A power-of-two-bucketed histogram of non-negative integers.
+///
+/// Bucket i counts values whose bit width is i (bucket 0 counts zeros),
+/// i.e. value v lands in bucket floor(log2(v)) + 1. Exact counts/sums and
+/// fixed boundaries keep the export deterministic.
+struct Histogram {
+  uint64_t count = 0;
+  int64_t sum = 0;
+  int64_t min = 0;
+  int64_t max = 0;
+  std::map<int, uint64_t> buckets;  ///< bit width -> observation count
+
+  void Observe(int64_t value);
+};
 
 /// \brief A monotonically increasing counter (relaxed atomic).
 class Counter {
@@ -138,11 +154,6 @@ class MetricsRegistry {
   /// \brief Zeroes every instrument in place; outstanding handles remain
   /// valid. For tests and `.metrics reset`-style tooling.
   void Reset();
-
-  /// \brief The process-wide registry a long-lived service exports from.
-  /// Library code never reaches for this implicitly — callers opt in by
-  /// passing it through QueryOptions/EvalOptions.
-  static MetricsRegistry& Global();
 
  private:
   mutable std::mutex mu_;

@@ -16,24 +16,6 @@ void AppendFixed(std::string* out, double v) {
 
 }  // namespace
 
-void RuleProfile::Merge(const RuleProfile& o) {
-  if (rule.empty()) rule = o.rule;
-  if (plan.empty()) plan = o.plan;
-  firings += o.firings;
-  rows_emitted += o.rows_emitted;
-  dup_in_head += o.dup_in_head;
-  dup_in_round += o.dup_in_round;
-  wall_ns += o.wall_ns;
-  if (steps.size() < o.steps.size()) steps.resize(o.steps.size());
-  for (size_t i = 0; i < o.steps.size(); ++i) {
-    if (steps[i].op.empty()) {
-      steps[i].op = o.steps[i].op;
-      steps[i].estimated_rows = o.steps[i].estimated_rows;
-    }
-    steps[i].Merge(o.steps[i]);
-  }
-}
-
 void QueryProfile::AppendRun(const QueryProfile& run) {
   rules.insert(rules.end(), run.rules.begin(), run.rules.end());
   for (RoundProfile r : run.rounds) {
@@ -41,13 +23,6 @@ void QueryProfile::AppendRun(const QueryProfile& run) {
     rounds.push_back(r);
   }
   ++graphs_;
-}
-
-void QueryProfile::Merge(const QueryProfile& o) {
-  if (rules.size() < o.rules.size()) rules.resize(o.rules.size());
-  for (size_t i = 0; i < o.rules.size(); ++i) rules[i].Merge(o.rules[i]);
-  rounds.insert(rounds.end(), o.rounds.begin(), o.rounds.end());
-  if (o.graphs_ > graphs_) graphs_ = o.graphs_;
 }
 
 std::string QueryProfile::ToJson(bool include_timings) const {

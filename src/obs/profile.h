@@ -55,12 +55,6 @@ struct StepProfile {
   /// so it is excluded from the logical JSON projection.
   uint64_t csr_invocations = 0;
 
-  void Merge(const StepProfile& o) {
-    invocations += o.invocations;
-    rows_out += o.rows_out;
-    csr_invocations += o.csr_invocations;
-  }
-
   /// \brief Mean rows per invocation — the "actual" EXPLAIN ANALYZE
   /// compares against estimated_rows.
   double ActualRows() const {
@@ -82,8 +76,6 @@ struct RuleProfile {
   /// TIMINGS: wall-clock spent executing this rule's join fan-out,
   /// summed across lanes. Excluded from ToJson(false)/ToText(false).
   uint64_t wall_ns = 0;
-
-  void Merge(const RuleProfile& o);
 };
 
 /// \brief One fixpoint round (or one-shot pass) of one stratum.
@@ -108,10 +100,6 @@ struct QueryProfile {
   /// current rule count — the API's rule_offset discipline — and its
   /// rounds are tagged with the next graph index).
   void AppendRun(const QueryProfile& run);
-
-  /// \brief Folds another whole-query profile in, rule by rule (rule
-  /// universes must match). Counters add; EvalStats::Merge discipline.
-  void Merge(const QueryProfile& o);
 
   /// \brief JSON export. include_timings=false is the deterministic
   /// logical projection: byte-identical across num_threads and columnar

@@ -27,18 +27,13 @@ std::string SlowQueryRecord::ToJson() const {
   }
   if (cache_hit) out += ",\"cache_hit\":true";
   if (served_from_view) out += ",\"served_from_view\":true";
-  out += ",\"stats\":{\"tuples_derived\":";
-  json::AppendInt(&out, static_cast<int64_t>(tuples_derived));
-  out += ",\"rule_firings\":";
-  json::AppendInt(&out, static_cast<int64_t>(rule_firings));
-  out += ",\"iterations\":";
-  json::AppendInt(&out, static_cast<int64_t>(iterations));
-  out += ",\"result_tuples\":";
-  json::AppendInt(&out, static_cast<int64_t>(result_tuples));
-  out += ",\"peak_delta_rows\":";
-  json::AppendInt(&out, static_cast<int64_t>(peak_delta_rows));
-  out += ",\"peak_delta_bytes\":";
-  json::AppendInt(&out, static_cast<int64_t>(peak_delta_bytes));
+  out += ",\"stats\":{";
+  for (size_t i = 0; i < stats.size(); ++i) {
+    if (i > 0) out.push_back(',');
+    json::AppendString(&out, stats[i].first);
+    out.push_back(':');
+    json::AppendInt(&out, static_cast<int64_t>(stats[i].second));
+  }
   out += "}";
   if (!explain.empty()) {
     out += ",\"explain\":";

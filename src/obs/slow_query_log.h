@@ -3,7 +3,7 @@
 // When graphlog::Run() finishes a query whose wall-clock time exceeds
 // QueryOptions::observability.slow_query_threshold_ns, it captures the
 // request text, the EXPLAIN rendering (forced on for armed queries so the
-// plan that was slow is the plan on record), the headline statistics, and
+// plan that was slow is the plan on record), the query's stats, and
 // — when tracing was on — the full trace JSON into the configured
 // SlowQueryLog. The ring holds the most recent `capacity` records;
 // recording is mutex-serialized (a slow query is by definition not a hot
@@ -16,6 +16,7 @@
 #include <deque>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace graphlog::obs {
@@ -39,13 +40,10 @@ struct SlowQueryRecord {
   std::string explain;        ///< EXPLAIN rendering at execution time
   std::string trace_json;     ///< full trace (only if tracing was on)
   std::string profile_json;   ///< EXPLAIN ANALYZE profile (if profiling)
-  // Headline stats (gl::QueryStats projection).
-  uint64_t tuples_derived = 0;
-  uint64_t rule_firings = 0;
-  uint64_t iterations = 0;
-  uint64_t result_tuples = 0;
-  uint64_t peak_delta_rows = 0;
-  uint64_t peak_delta_bytes = 0;
+  /// The query's stats as (name, value) pairs, written out as the JSON
+  /// "stats" object in this order: every EvalStats counter (the
+  /// eval::kEvalCounters list) then result_tuples.
+  std::vector<std::pair<std::string, uint64_t>> stats;
 
   std::string ToJson() const;
 };

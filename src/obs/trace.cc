@@ -14,35 +14,6 @@ uint64_t NowNs() {
           .count());
 }
 
-void Histogram::Observe(int64_t value) {
-  if (count == 0) {
-    min = max = value;
-  } else {
-    if (value < min) min = value;
-    if (value > max) max = value;
-  }
-  ++count;
-  sum += value;
-  int width = 0;
-  for (uint64_t v = value < 0 ? 0 : static_cast<uint64_t>(value); v != 0;
-       v >>= 1) {
-    ++width;
-  }
-  ++buckets[width];
-}
-
-void Metrics::Count(std::string_view name, uint64_t delta) {
-  counters_[std::string(name)] += delta;
-}
-
-void Metrics::Observe(std::string_view name, int64_t value) {
-  histograms_[std::string(name)].Observe(value);
-}
-
-void Metrics::SetHistogram(std::string_view name, Histogram h) {
-  histograms_[std::string(name)] = std::move(h);
-}
-
 // ---------------------------------------------------------------------------
 // Tracer
 
@@ -95,9 +66,7 @@ TraceReport Tracer::TakeReport() {
   while (!stack_.empty()) EndSpan();
   TraceReport report;
   report.spans = std::move(roots_);
-  report.metrics = std::move(metrics_);
   roots_.clear();
-  metrics_ = Metrics();
   return report;
 }
 
@@ -162,43 +131,7 @@ std::string TraceReport::ToJson(bool include_timings) const {
     if (i > 0) out.push_back(',');
     AppendSpan(&out, spans[i], include_timings);
   }
-  out += "],\"metrics\":{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, value] : metrics.counters()) {
-    if (!first) out.push_back(',');
-    first = false;
-    AppendString(&out, name);
-    out.push_back(':');
-    AppendInt(&out, static_cast<int64_t>(value));
-  }
-  out += "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, h] : metrics.histograms()) {
-    if (!first) out.push_back(',');
-    first = false;
-    AppendString(&out, name);
-    out += ":{\"count\":";
-    AppendInt(&out, static_cast<int64_t>(h.count));
-    out += ",\"sum\":";
-    AppendInt(&out, h.sum);
-    out += ",\"min\":";
-    AppendInt(&out, h.min);
-    out += ",\"max\":";
-    AppendInt(&out, h.max);
-    out += ",\"buckets\":[";
-    bool bfirst = true;
-    for (const auto& [width, n] : h.buckets) {
-      if (!bfirst) out.push_back(',');
-      bfirst = false;
-      out.push_back('[');
-      AppendInt(&out, width);
-      out.push_back(',');
-      AppendInt(&out, static_cast<int64_t>(n));
-      out.push_back(']');
-    }
-    out += "]}";
-  }
-  out += "}}}";
+  out += "]}";
   return out;
 }
 
@@ -230,8 +163,6 @@ class JsonParser {
           GRAPHLOG_ASSIGN_OR_RETURN(Span s, ParseSpan());
           report.spans.push_back(std::move(s));
         }
-      } else if (key == "metrics") {
-        GRAPHLOG_RETURN_NOT_OK(ParseMetrics(&report.metrics));
       } else {
         return Err("unknown report key '" + key + "'");
       }
@@ -307,73 +238,6 @@ class JsonParser {
     return span;
   }
 
-  Status ParseMetrics(Metrics* metrics) {
-    GRAPHLOG_RETURN_NOT_OK(Expect('{'));
-    bool first = true;
-    while (!TryConsume('}')) {
-      if (!first) GRAPHLOG_RETURN_NOT_OK(Expect(','));
-      first = false;
-      GRAPHLOG_ASSIGN_OR_RETURN(std::string key, ParseString());
-      GRAPHLOG_RETURN_NOT_OK(Expect(':'));
-      GRAPHLOG_RETURN_NOT_OK(Expect('{'));
-      bool efirst = true;
-      while (!TryConsume('}')) {
-        if (!efirst) GRAPHLOG_RETURN_NOT_OK(Expect(','));
-        efirst = false;
-        GRAPHLOG_ASSIGN_OR_RETURN(std::string name, ParseString());
-        GRAPHLOG_RETURN_NOT_OK(Expect(':'));
-        if (key == "counters") {
-          GRAPHLOG_ASSIGN_OR_RETURN(int64_t v, ParseInt());
-          metrics->Count(name, static_cast<uint64_t>(v));
-        } else if (key == "histograms") {
-          GRAPHLOG_RETURN_NOT_OK(ParseHistogram(name, metrics));
-        } else {
-          return Err("unknown metrics key '" + key + "'");
-        }
-      }
-    }
-    return Status::OK();
-  }
-
-  Status ParseHistogram(const std::string& name, Metrics* metrics) {
-    // Reconstruct the histogram field by field: Observe() cannot replay
-    // the original values, so write the aggregate directly.
-    Histogram h;
-    GRAPHLOG_RETURN_NOT_OK(Expect('{'));
-    bool first = true;
-    while (!TryConsume('}')) {
-      if (!first) GRAPHLOG_RETURN_NOT_OK(Expect(','));
-      first = false;
-      GRAPHLOG_ASSIGN_OR_RETURN(std::string field, ParseString());
-      GRAPHLOG_RETURN_NOT_OK(Expect(':'));
-      if (field == "count") {
-        GRAPHLOG_ASSIGN_OR_RETURN(int64_t v, ParseInt());
-        h.count = static_cast<uint64_t>(v);
-      } else if (field == "sum") {
-        GRAPHLOG_ASSIGN_OR_RETURN(h.sum, ParseInt());
-      } else if (field == "min") {
-        GRAPHLOG_ASSIGN_OR_RETURN(h.min, ParseInt());
-      } else if (field == "max") {
-        GRAPHLOG_ASSIGN_OR_RETURN(h.max, ParseInt());
-      } else if (field == "buckets") {
-        GRAPHLOG_RETURN_NOT_OK(Expect('['));
-        while (!TryConsume(']')) {
-          if (!h.buckets.empty()) GRAPHLOG_RETURN_NOT_OK(Expect(','));
-          GRAPHLOG_RETURN_NOT_OK(Expect('['));
-          GRAPHLOG_ASSIGN_OR_RETURN(int64_t width, ParseInt());
-          GRAPHLOG_RETURN_NOT_OK(Expect(','));
-          GRAPHLOG_ASSIGN_OR_RETURN(int64_t n, ParseInt());
-          GRAPHLOG_RETURN_NOT_OK(Expect(']'));
-          h.buckets[static_cast<int>(width)] = static_cast<uint64_t>(n);
-        }
-      } else {
-        return Err("unknown histogram key '" + field + "'");
-      }
-    }
-    metrics->SetHistogram(name, std::move(h));
-    return Status::OK();
-  }
-
   json::Reader r_;
 };
 
@@ -425,20 +289,6 @@ void AppendSpanText(std::string* out, const Span& span, int depth) {
 std::string TraceReport::ToText() const {
   std::string out;
   for (const Span& span : spans) AppendSpanText(&out, span, 0);
-  if (!metrics.counters().empty()) {
-    out += "counters:\n";
-    for (const auto& [name, value] : metrics.counters()) {
-      out += "  " + name + " = " + std::to_string(value) + "\n";
-    }
-  }
-  if (!metrics.histograms().empty()) {
-    out += "histograms:\n";
-    for (const auto& [name, h] : metrics.histograms()) {
-      out += "  " + name + ": count=" + std::to_string(h.count) +
-             " sum=" + std::to_string(h.sum) + " min=" + std::to_string(h.min) +
-             " max=" + std::to_string(h.max) + "\n";
-    }
-  }
   return out;
 }
 

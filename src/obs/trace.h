@@ -1,18 +1,20 @@
-// Pipeline observability: hierarchical tracing spans and typed metrics.
+// Pipeline observability: hierarchical tracing spans.
 //
 // The measurement substrate behind the unified QueryRequest/QueryResponse
 // API (graphlog/api.h): every pipeline stage — parse, validation,
 // lambda-translation, stratification, per-stratum fixpoint rounds, TC and
 // RPQ kernels, path summarization — opens a Span, annotates it with what
-// happened, and closes it. The resulting tree plus a flat set of
-// counters/histograms is exported as a TraceReport (text or JSON).
+// happened, and closes it. The resulting tree is exported as a
+// TraceReport (text or JSON). The trace holds no counters of its own: a
+// query's totals are its QueryStats (QueryResponse::stats), and each
+// round span carries its per-predicate `delta.<pred>` sizes as attrs.
 //
 // Design constraints:
 //   * Near-zero overhead when disabled: every instrumentation site passes a
 //     `Tracer*` that may be null, and SpanGuard/record helpers reduce to a
 //     single pointer test in that case. No clock reads, no allocations.
-//   * Deterministic across thread counts: span structure, attrs, notes, and
-//     metrics depend only on the evaluation semantics (which PR 1 made
+//   * Deterministic across thread counts: span structure, attrs, and notes
+//     depend only on the evaluation semantics (which PR 1 made
 //     bit-identical across lane counts). Wall-clock data — span durations
 //     and per-lane busy times — lives in dedicated fields that
 //     ToJson(include_timings=false) omits, so the deterministic projection
@@ -28,7 +30,6 @@
 #define GRAPHLOG_OBS_TRACE_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -60,48 +61,11 @@ struct Span {
   }
 };
 
-/// \brief A power-of-two-bucketed histogram of non-negative integers.
-///
-/// Bucket i counts values whose bit width is i (bucket 0 counts zeros),
-/// i.e. value v lands in bucket floor(log2(v)) + 1. Exact counts/sums and
-/// fixed boundaries keep the export deterministic.
-struct Histogram {
-  uint64_t count = 0;
-  int64_t sum = 0;
-  int64_t min = 0;
-  int64_t max = 0;
-  std::map<int, uint64_t> buckets;  ///< bit width -> observation count
-
-  void Observe(int64_t value);
-};
-
-/// \brief Flat named counters and histograms for one run.
-class Metrics {
- public:
-  void Count(std::string_view name, uint64_t delta);
-  void Observe(std::string_view name, int64_t value);
-  /// \brief Installs a fully-built histogram (JSON import path).
-  void SetHistogram(std::string_view name, Histogram h);
-
-  const std::map<std::string, uint64_t>& counters() const {
-    return counters_;
-  }
-  const std::map<std::string, Histogram>& histograms() const {
-    return histograms_;
-  }
-  bool empty() const { return counters_.empty() && histograms_.empty(); }
-
- private:
-  std::map<std::string, uint64_t> counters_;
-  std::map<std::string, Histogram> histograms_;
-};
-
-/// \brief A finished trace: the span forest plus the run's metrics.
+/// \brief A finished trace: the span forest.
 struct TraceReport {
   std::vector<Span> spans;  ///< top-level spans in open order
-  Metrics metrics;
 
-  bool empty() const { return spans.empty() && metrics.empty(); }
+  bool empty() const { return spans.empty(); }
 
   /// \brief JSON export. With `include_timings` false the output contains
   /// only the deterministic projection (no durations, no per-lane times):
@@ -112,11 +76,11 @@ struct TraceReport {
   /// FromJson(r.ToJson(t))->ToJson(t) == r.ToJson(t) for either t.
   static Result<TraceReport> FromJson(std::string_view json);
 
-  /// \brief Human-readable indented tree with durations and counters.
+  /// \brief Human-readable indented tree with durations and attrs.
   std::string ToText() const;
 };
 
-/// \brief Records one run's span tree and metrics.
+/// \brief Records one run's span tree.
 ///
 /// Spans nest by open/close order on the recording thread. All methods are
 /// single-threaded by design (see file comment).
@@ -132,8 +96,6 @@ class Tracer {
   void AddNote(std::string_view key, std::string_view value);
   void AddTiming(std::string_view key, int64_t value);
 
-  Metrics& metrics() { return metrics_; }
-
   /// \brief Finishes the trace (closing any still-open spans) and returns
   /// the report. The tracer is reset and may be reused.
   TraceReport TakeReport();
@@ -144,7 +106,6 @@ class Tracer {
   /// stack_[k] indexes the children of the span at stack_[k-1]. Indices
   /// stay valid across child-vector reallocation, unlike raw pointers.
   std::vector<size_t> stack_;
-  Metrics metrics_;
 
   Span* Current();
 };

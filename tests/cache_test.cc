@@ -440,6 +440,24 @@ TEST(RunCacheTest, MetricsAndSlowLogRecordServing) {
   EXPECT_NE(entries[1].ToJson().find("\"cache_hit\":true"), std::string::npos);
 }
 
+TEST(RunCacheTest, OversizedAnswerIsPublishedAsRejected) {
+  // A one-byte, one-shard cache cannot hold any answer: Record() rejects
+  // it, and the rejection must show up beside the other cache gauges.
+  Database db = ChainDb(5);
+  ResultCache cache(/*max_bytes=*/1, /*num_shards=*/1);
+  obs::MetricsRegistry metrics;
+  QueryOptions opts;
+  opts.cache.result_cache = &cache;
+  opts.observability.metrics = &metrics;
+  ASSERT_OK(RunText(kTcQuery, &db, opts).status());
+
+  obs::MetricsSnapshot snap = metrics.Snapshot();
+  ASSERT_EQ(snap.gauges.count("cache.rejected"), 1u);
+  EXPECT_EQ(snap.gauges.at("cache.rejected"), 1);
+  EXPECT_EQ(snap.gauges.at("cache.inserts"), 0);
+  EXPECT_EQ(cache.Stats().rejected, 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Materialized views
 

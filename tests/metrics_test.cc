@@ -247,13 +247,21 @@ TEST(SlowQueryLogTest, RunCapturesRequestExplainAndStats) {
   EXPECT_TRUE(rec.error.empty());
   EXPECT_NE(rec.explain.find("stratification"), std::string::npos);
   EXPECT_TRUE(rec.trace_json.empty());  // tracing was off
-  EXPECT_EQ(rec.tuples_derived, resp.stats.datalog.tuples_derived);
-  EXPECT_EQ(rec.result_tuples, resp.stats.result_tuples);
-  EXPECT_GT(rec.peak_delta_rows, 0u);
+  EXPECT_GT(resp.stats.datalog.peak_delta_rows, 0u);
 
   std::string json = log.ToJson();
   EXPECT_NE(json.find("\"language\":\"datalog\""), std::string::npos);
   EXPECT_NE(json.find("\"stats\":"), std::string::npos);
+  for (const auto& [key, value] :
+       {std::pair<std::string, uint64_t>{"tuples_derived",
+                                         resp.stats.datalog.tuples_derived},
+        {"result_tuples", resp.stats.result_tuples},
+        {"peak_delta_rows", resp.stats.datalog.peak_delta_rows}}) {
+    const std::string field = "\"" + key + "\":" + std::to_string(value);
+    EXPECT_TRUE(json.find(field + ",") != std::string::npos ||
+                json.find(field + "}") != std::string::npos)
+        << field;
+  }
 }
 
 TEST(SlowQueryLogTest, CapturesTraceWhenTracingAndErrorsOnFailure) {

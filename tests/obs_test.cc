@@ -1,5 +1,6 @@
-// Observability layer: span nesting, metrics, JSON export round-trip,
-// EXPLAIN, and the unified QueryRequest/QueryResponse front door. The
+// Observability layer: span nesting, histograms, JSON export round-trip,
+// EXPLAIN, the EvalStats counter list, and the unified
+// QueryRequest/QueryResponse front door. The
 // deterministic-across-thread-counts properties are in
 // tests/parallel_eval_test.cc; this file covers the subsystem itself.
 
@@ -9,6 +10,8 @@
 #include <string>
 
 #include "graphlog/api.h"
+#include "obs/metrics.h"
+#include "obs/slow_query_log.h"
 #include "obs/trace.h"
 #include "rpq/rpq_eval.h"
 #include "storage/database.h"
@@ -20,7 +23,6 @@ namespace graphlog {
 namespace {
 
 using obs::Histogram;
-using obs::Metrics;
 using obs::Span;
 using obs::SpanGuard;
 using obs::Tracer;
@@ -108,16 +110,7 @@ TEST(SpanGuardTest, RaiiClosesInDestructionOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// Metrics
-
-TEST(MetricsTest, CountersAccumulate) {
-  Metrics m;
-  m.Count("a", 2);
-  m.Count("a", 3);
-  m.Count("b", 1);
-  EXPECT_EQ(m.counters().at("a"), 5u);
-  EXPECT_EQ(m.counters().at("b"), 1u);
-}
+// Histogram
 
 TEST(MetricsTest, HistogramBucketsByBitWidth) {
   Histogram h;
@@ -146,9 +139,6 @@ TraceReport SampleReport() {
   t.AddTiming("lane.0", 1234);
   t.EndSpan();
   t.EndSpan();
-  t.metrics().Count("eval.rule_firings", 42);
-  t.metrics().Observe("eval.delta_rows", 3);
-  t.metrics().Observe("eval.delta_rows", 17);
   return t.TakeReport();
 }
 
@@ -190,8 +180,8 @@ TEST(TraceTextTest, RendersTreeAndCounters) {
   const std::string text = r.ToText();
   EXPECT_NE(text.find("query"), std::string::npos);
   EXPECT_NE(text.find("stratum"), std::string::npos);
-  EXPECT_NE(text.find("eval.rule_firings = 42"), std::string::npos);
-  EXPECT_NE(text.find("eval.delta_rows"), std::string::npos);
+  EXPECT_NE(text.find("index=0"), std::string::npos);
+  EXPECT_NE(text.find("# language: graphlog"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -215,6 +205,18 @@ void CollectNames(const std::vector<Span>& spans,
   }
 }
 
+/// Sums every span attr whose key starts with `prefix` (depth first).
+int64_t SumAttrs(const std::vector<Span>& spans, const std::string& prefix) {
+  int64_t sum = 0;
+  for (const Span& s : spans) {
+    for (const auto& [k, v] : s.attrs) {
+      if (k.compare(0, prefix.size(), prefix) == 0) sum += v;
+    }
+    sum += SumAttrs(s.children, prefix);
+  }
+  return sum;
+}
+
 TEST(QueryApiTest, TracedRunCoversThePipeline) {
   Database db;
   SeedEdges(&db);
@@ -230,11 +232,14 @@ TEST(QueryApiTest, TracedRunCoversThePipeline) {
     EXPECT_NE(std::find(names.begin(), names.end(), expect), names.end())
         << "missing span " << expect;
   }
-  const auto& counters = r->trace.metrics.counters();
-  EXPECT_EQ(counters.at("eval.tuples_derived"),
-            r->stats.datalog.tuples_derived);
-  EXPECT_GT(counters.at("query.result_tuples"), 0u);
-  EXPECT_FALSE(r->trace.metrics.histograms().empty());
+  // The trace carries no counter copies: totals come from the stats, and
+  // each round span records its per-predicate delta sizes as attrs.
+  EXPECT_GT(r->stats.datalog.tuples_derived, 0u);
+  EXPECT_GT(r->stats.result_tuples, 0u);
+  EXPECT_EQ(r->trace.ToJson().find("\"metrics\""), std::string::npos);
+  EXPECT_GT(SumAttrs(r->trace.spans, "delta."), 0);
+  EXPECT_EQ(SumAttrs(r->trace.spans, "strata"),
+            static_cast<int64_t>(r->stats.datalog.strata));
 }
 
 TEST(QueryApiTest, TracingOffProducesEmptyTrace) {
@@ -302,6 +307,76 @@ TEST(EvalStatsTest, MergeAddsEveryCounter) {
   EXPECT_EQ(a.strata, 44u);
   EXPECT_EQ(a.index_builds, 55u);
   EXPECT_EQ(a.index_appends, 66u);
+}
+
+TEST(EvalStatsTest, MergeTakesPeakMaxAndFirstTruncationReason) {
+  eval::EvalStats a;
+  a.peak_delta_rows = 7;
+  a.peak_delta_bytes = 900;
+  eval::EvalStats b;
+  b.peak_delta_rows = 5;
+  b.peak_delta_bytes = 1200;
+  b.truncated = true;
+  b.truncated_by = "max_rounds at eval.round";
+  a.Merge(b);
+  EXPECT_EQ(a.peak_delta_rows, 7u);     // max, not 12
+  EXPECT_EQ(a.peak_delta_bytes, 1200u);  // max, not 2100
+  EXPECT_TRUE(a.truncated);
+  EXPECT_EQ(a.truncated_by, "max_rounds at eval.round");
+
+  // A later truncated run neither clears the flag nor overwrites the
+  // first reason; an untruncated one leaves both alone.
+  eval::EvalStats c;
+  c.truncated = true;
+  c.truncated_by = "max_delta_rows at eval.round";
+  a.Merge(c);
+  a.Merge(eval::EvalStats{});
+  EXPECT_TRUE(a.truncated);
+  EXPECT_EQ(a.truncated_by, "max_rounds at eval.round");
+}
+
+TEST(EvalStatsTest, CounterListFeedsMergeRegistryAndSlowLog) {
+  // Every listed counter is reachable from Merge, with its declared fold.
+  for (const eval::EvalCounter& c : eval::kEvalCounters) {
+    eval::EvalStats a, b;
+    a.*c.field = 3;
+    b.*c.field = 4;
+    a.Merge(b);
+    EXPECT_EQ(a.*c.field, c.fold == eval::CounterFold::kSum ? 7u : 4u)
+        << c.name;
+  }
+
+  // And every one is exported: summed counters to the registry under
+  // their own name, all of them to the slow-query record's stats.
+  Database db;
+  SeedEdges(&db);
+  obs::MetricsRegistry registry;
+  obs::SlowQueryLog slow_log;
+  QueryRequest req = QueryRequest::GraphLog(kTcQuery);
+  req.options.observability.metrics = &registry;
+  req.options.observability.slow_query_log = &slow_log;
+  req.options.observability.slow_query_threshold_ns = 1;
+  auto r = graphlog::Run(req, &db);
+  ASSERT_OK(r.status());
+  const obs::MetricsSnapshot snap = registry.Snapshot();
+  ASSERT_EQ(slow_log.size(), 1u);
+  const std::string json = slow_log.Entries()[0].ToJson();
+  for (const eval::EvalCounter& c : eval::kEvalCounters) {
+    const uint64_t value = r->stats.datalog.*c.field;
+    const std::string field = "\"" + std::string(c.field_name()) +
+                              "\":" + std::to_string(value);
+    EXPECT_TRUE(json.find(field + ",") != std::string::npos ||
+                json.find(field + "}") != std::string::npos)
+        << field;
+    if (c.fold == eval::CounterFold::kSum) {
+      auto it = snap.counters.find(std::string(c.name));
+      ASSERT_NE(it, snap.counters.end()) << c.name;
+      EXPECT_EQ(it->second, value) << c.name;
+    } else {
+      EXPECT_EQ(snap.counters.count(std::string(c.name)), 0u) << c.name;
+    }
+  }
+  EXPECT_EQ(snap.counters.at("eval.runs"), 1u);
 }
 
 TEST(QueryApiTest, IndexCountersSurviveMultiGraphQueries) {
