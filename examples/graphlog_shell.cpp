@@ -512,17 +512,18 @@ class Shell {
   }
 
   bool HandleMetrics(const std::string& arg) {
-    obs::MetricsSnapshot snap = metrics_.Snapshot();
+    if (!arg.empty() && arg != "json" && arg != "prom") return false;
+    // Levels, not events: queries never push them, so export the active
+    // database's and the result cache's now. The server's own instruments
+    // keep the snapshot from ever being empty.
+    db().ExportResourceMetrics(&metrics_);
+    if (opts_.cache.result_cache != nullptr) cache_.ExportMetrics(&metrics_);
+    const obs::MetricsSnapshot snap = metrics_.Snapshot();
     if (arg == "json") {
       std::printf("%s\n", snap.ToJson().c_str());
-    } else if (arg == "prom") {
-      std::printf("%s", snap.ToPrometheus().c_str());
-    } else if (!arg.empty()) {
-      return false;
-    } else if (snap.empty()) {
-      std::printf("no metrics recorded yet; run a query first\n");
     } else {
-      std::printf("%s", snap.ToText().c_str());
+      std::printf("%s", arg == "prom" ? snap.ToPrometheus().c_str()
+                                      : snap.ToText().c_str());
     }
     return true;
   }
@@ -572,7 +573,6 @@ class Shell {
   }
 
   bool HandleResource(const std::string&) {
-    db().ExportResourceMetrics(&metrics_);
     size_t total_rows = 0;
     for (const auto& [name, rel] : db().relations()) {
       std::printf("  %s/%zu: %zu rows, %zu bytes\n",
@@ -699,14 +699,12 @@ class Shell {
       cache_.Clear();
       std::printf("result cache cleared\n");
     } else if (arg.empty() || arg == "stats") {
-      cache::ResultCacheStats s = cache_.Stats();
-      std::printf("result cache %s: %" PRIu64 " hits (%" PRIu64
-                  " replayed), %" PRIu64 " misses, %" PRIu64
-                  " inserts, %" PRIu64 " evictions\n  %" PRIu64
-                  " entries, %" PRIu64 " bytes resident (budget %zu)\n",
-                  opts_.cache.result_cache != nullptr ? "on" : "off", s.hits,
-                  s.replays, s.misses, s.inserts, s.evictions, s.entries,
-                  s.bytes, cache_.max_bytes());
+      std::printf(
+          "result cache %s (budget %zu): %s\n",
+          opts_.cache.result_cache != nullptr ? "on" : "off",
+          cache_.max_bytes(),
+          obs::CountersToText(cache::kResultCacheCounters, cache_.Stats())
+              .c_str());
     } else {
       return false;
     }
@@ -720,12 +718,10 @@ class Shell {
     if (SetFlag(arg, &opts_.eval.columnar, "columnar path")) return true;
     if (!arg.empty() && arg != "stats") return false;
     columnar::CsrCache& cc = active().csr_cache();
-    columnar::CsrCache::Stats s = cc.stats();
-    std::printf("columnar path %s: %" PRIu64 " CSR builds, %" PRIu64
-                " reuses, %" PRIu64
-                " invalidations, %zu snapshots resident (session %s)\n",
-                opts_.eval.columnar ? "on" : "off", s.builds, s.reuses,
-                s.invalidations, cc.size(), active_.c_str());
+    std::printf(
+        "columnar path %s: %zu snapshots resident (session %s): %s\n",
+        opts_.eval.columnar ? "on" : "off", cc.size(), active_.c_str(),
+        obs::CountersToText(columnar::CsrCache::kCounters, cc.stats()).c_str());
     return true;
   }
 
@@ -737,10 +733,9 @@ class Shell {
       }
       for (const std::string& name : views_.Names()) {
         cache::ViewStats vs = views_.StatsOf(name, &db());
-        std::printf("  %s: %" PRIu64 " rows (%s), %" PRIu64 " full + %" PRIu64
-                    " incremental refreshes, served %" PRIu64 "\n",
-                    name.c_str(), vs.result_rows, vs.fresh ? "fresh" : "stale",
-                    vs.full_refreshes, vs.incremental_refreshes, vs.served);
+        std::printf("  %s: %" PRIu64 " rows (%s), %s\n", name.c_str(),
+                    vs.result_rows, vs.fresh ? "fresh" : "stale",
+                    obs::CountersToText(cache::kViewCounters, vs).c_str());
       }
     } else if (sub == "define") {
       const auto [name, text] = SplitWord(rest);
@@ -789,11 +784,11 @@ class Shell {
       std::printf("server epoch %" PRIu64 ", %zu open sessions\n",
                   server_->epoch(), sessions_.size());
       for (const auto& [session_name, s] : sessions_) {
-        const Session::Stats& st = s->stats();
-        std::printf("  %c %s: epoch %" PRIu64 ", %" PRIu64 " queries, %" PRIu64
-                    " writes, %" PRIu64 " refreshes\n",
-                    session_name == active_ ? '*' : ' ', session_name.c_str(),
-                    s->epoch(), st.queries, st.writes, st.refreshes);
+        std::printf(
+            "  %c %s: epoch %" PRIu64 ", %s\n",
+            session_name == active_ ? '*' : ' ', session_name.c_str(),
+            s->epoch(),
+            obs::CountersToText(Session::kCounters, s->stats()).c_str());
       }
     } else if (sub == "open") {
       if (!name.empty() && sessions_.count(name) != 0) {

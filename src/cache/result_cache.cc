@@ -69,7 +69,7 @@ bool ResultCache::TryServe(const std::string& key, Database* db,
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(key);
   if (it == shard.index.end()) {
-    ++shard.misses;
+    ++shard.stats.misses;
     return false;
   }
   Entry& entry = *it->second;
@@ -84,7 +84,7 @@ bool ResultCache::TryServe(const std::string& key, Database* db,
   if (post_match) {
     *resp = entry.response;
     resp->cache_hit = true;
-    ++shard.hits;
+    ++shard.stats.hits;
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return true;
   }
@@ -99,7 +99,7 @@ bool ResultCache::TryServe(const std::string& key, Database* db,
   if (!pre_match) {
     // Entry is stale for this database state; leave it in place — the
     // caller's Record() after re-evaluation overwrites it.
-    ++shard.misses;
+    ++shard.stats.misses;
     return false;
   }
 
@@ -117,7 +117,7 @@ bool ResultCache::TryServe(const std::string& key, Database* db,
     } else {
       // Arity conflict can only mean the pre-state check above raced with
       // a concurrent mutation of this database; treat as a miss.
-      ++shard.misses;
+      ++shard.stats.misses;
       return false;
     }
     for (const Tuple& t : d.novel_rows) rel->Insert(t);
@@ -125,8 +125,8 @@ bool ResultCache::TryServe(const std::string& key, Database* db,
   }
   *resp = entry.response;
   resp->cache_hit = true;
-  ++shard.hits;
-  ++shard.replays;
+  ++shard.stats.hits;
+  ++shard.stats.replays;
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   return true;
 }
@@ -177,29 +177,29 @@ void ResultCache::Record(const std::string& key, const Database& db,
   const size_t budget = max_bytes_ / shards_.size();
   std::lock_guard<std::mutex> lock(shard.mu);
   if (entry.bytes > budget) {
-    ++shard.rejected;
+    ++shard.stats.rejected;
     return;
   }
   auto it = shard.index.find(key);
   if (it != shard.index.end()) {
-    shard.bytes -= it->second->bytes;
+    shard.stats.bytes -= it->second->bytes;
     shard.lru.erase(it->second);
     shard.index.erase(it);
   }
-  shard.bytes += entry.bytes;
+  shard.stats.bytes += entry.bytes;
   shard.lru.push_front(std::move(entry));
   shard.index.emplace(key, shard.lru.begin());
-  ++shard.inserts;
+  ++shard.stats.inserts;
   EvictLocked(&shard, budget);
 }
 
 void ResultCache::EvictLocked(Shard* shard, size_t budget) {
-  while (shard->bytes > budget && shard->lru.size() > 1) {
+  while (shard->stats.bytes > budget && shard->lru.size() > 1) {
     const Entry& victim = shard->lru.back();
-    shard->bytes -= victim.bytes;
+    shard->stats.bytes -= victim.bytes;
     shard->index.erase(victim.key);
     shard->lru.pop_back();
-    ++shard->evictions;
+    ++shard->stats.evictions;
   }
 }
 
@@ -208,37 +208,23 @@ void ResultCache::Clear() {
     std::lock_guard<std::mutex> lock(shard->mu);
     shard->lru.clear();
     shard->index.clear();
-    shard->bytes = 0;
+    shard->stats.bytes = 0;
   }
 }
 
 ResultCacheStats ResultCache::Stats() const {
-  ResultCacheStats s;
+  ResultCacheStats total;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    s.hits += shard->hits;
-    s.replays += shard->replays;
-    s.misses += shard->misses;
-    s.evictions += shard->evictions;
-    s.inserts += shard->inserts;
-    s.rejected += shard->rejected;
-    s.bytes += shard->bytes;
-    s.entries += shard->lru.size();
+    ResultCacheStats s = shard->stats;
+    s.entries = shard->lru.size();
+    obs::FoldCounters(kResultCacheCounters, s, &total);
   }
-  return s;
+  return total;
 }
 
 void ResultCache::ExportMetrics(obs::MetricsRegistry* registry) const {
-  if (registry == nullptr) return;
-  const ResultCacheStats s = Stats();
-  registry->gauge("cache.hits")->Set(static_cast<int64_t>(s.hits));
-  registry->gauge("cache.replays")->Set(static_cast<int64_t>(s.replays));
-  registry->gauge("cache.misses")->Set(static_cast<int64_t>(s.misses));
-  registry->gauge("cache.evictions")->Set(static_cast<int64_t>(s.evictions));
-  registry->gauge("cache.inserts")->Set(static_cast<int64_t>(s.inserts));
-  registry->gauge("cache.rejected")->Set(static_cast<int64_t>(s.rejected));
-  registry->gauge("cache.bytes")->Set(static_cast<int64_t>(s.bytes));
-  registry->gauge("cache.entries")->Set(static_cast<int64_t>(s.entries));
+  obs::ExportGauges(kResultCacheCounters, Stats(), registry);
 }
 
 }  // namespace graphlog::cache

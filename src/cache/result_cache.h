@@ -80,6 +80,21 @@ struct ResultCacheStats {
   uint64_t entries = 0;    ///< resident entries right now
 };
 
+/// \brief Every counter of ResultCacheStats, listed once: the shard sum
+/// (ResultCache::Stats) and the `cache.*` gauges (ExportMetrics) are
+/// derived from it.
+inline constexpr obs::CounterField<ResultCacheStats>
+    kResultCacheCounters[] = {
+        {"cache.hits", &ResultCacheStats::hits},
+        {"cache.replays", &ResultCacheStats::replays},
+        {"cache.misses", &ResultCacheStats::misses},
+        {"cache.evictions", &ResultCacheStats::evictions},
+        {"cache.inserts", &ResultCacheStats::inserts},
+        {"cache.rejected", &ResultCacheStats::rejected},
+        {"cache.bytes", &ResultCacheStats::bytes},
+        {"cache.entries", &ResultCacheStats::entries},
+};
+
 class ResultCache {
  public:
   static constexpr size_t kDefaultMaxBytes = 64ull << 20;  // 64 MiB
@@ -109,9 +124,9 @@ class ResultCache {
 
   ResultCacheStats Stats() const;
 
-  /// \brief Publishes `cache.hits/replays/misses/evictions/inserts/
-  /// rejected/bytes/entries` gauges into `registry` (absolute values, like
-  /// the `db.*` resource gauges); no-op when null.
+  /// \brief Publishes one `cache.*` gauge per kResultCacheCounters entry
+  /// (absolute values, like the `db.*` resource gauges) into `registry`,
+  /// on the owner's demand; no-op when null.
   void ExportMetrics(obs::MetricsRegistry* registry) const;
 
   size_t max_bytes() const { return max_bytes_; }
@@ -139,10 +154,7 @@ class ResultCache {
     mutable std::mutex mu;
     std::list<Entry> lru;  // most-recently-used first
     std::unordered_map<std::string, std::list<Entry>::iterator> index;
-    size_t bytes = 0;
-    // Shard-local counters, summed by Stats().
-    uint64_t hits = 0, replays = 0, misses = 0, evictions = 0, inserts = 0,
-             rejected = 0;
+    ResultCacheStats stats;  // `entries` is filled in by Stats()
   };
 
   Shard& ShardFor(const std::string& key);

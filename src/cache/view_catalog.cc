@@ -174,18 +174,9 @@ Status ViewCatalog::FullRefresh(View* v, Database* db,
   GRAPHLOG_ASSIGN_OR_RETURN(
       eval::EvalStats es, eval::Evaluate(v->def.program, db, v->def.eval));
   v->accumulated.Merge(es);
-  ++v->stats.full_refreshes;
-  v->stats.last_refresh_rows = es.tuples_derived;
-  v->stats.last_refresh_ns = obs::NowNs() - t0;
   v->materialized = true;
-  RecordStates(v, *db);
-  if (metrics != nullptr) {
-    metrics->counter("view.refreshes_full")->Increment();
-    metrics->histogram("view.refresh_rows")
-        ->Observe(static_cast<int64_t>(es.tuples_derived));
-    metrics->histogram("view.refresh_ns")
-        ->Observe(static_cast<int64_t>(v->stats.last_refresh_ns));
-  }
+  FinishRefresh(v, ViewStats{.full_refreshes = 1}, es.tuples_derived, t0,
+                *db, metrics);
   return Status::OK();
 }
 
@@ -318,18 +309,24 @@ Status ViewCatalog::IncrementalRefresh(
   es.rule_firings = firings;
   es.tuples_derived = novel_total;
   v->accumulated.Merge(es);
-  ++v->stats.incremental_refreshes;
-  v->stats.last_refresh_rows = novel_total;
-  v->stats.last_refresh_ns = obs::NowNs() - t0;
-  RecordStates(v, *db);
-  if (metrics != nullptr) {
-    metrics->counter("view.refreshes_incremental")->Increment();
-    metrics->histogram("view.refresh_rows")
-        ->Observe(static_cast<int64_t>(novel_total));
-    metrics->histogram("view.refresh_ns")
-        ->Observe(static_cast<int64_t>(v->stats.last_refresh_ns));
-  }
+  FinishRefresh(v, ViewStats{.incremental_refreshes = 1}, novel_total, t0,
+                *db, metrics);
   return Status::OK();
+}
+
+void ViewCatalog::FinishRefresh(View* v, const ViewStats& event,
+                                uint64_t rows, uint64_t t0,
+                                const Database& db,
+                                obs::MetricsRegistry* metrics) {
+  obs::FoldCounters(kViewCounters, event, &v->stats);
+  RecordStates(v, db);
+  if (metrics != nullptr) {
+    obs::ExportCounters(kViewCounters, event, metrics);
+    metrics->histogram("view.refresh_rows")
+        ->Observe(static_cast<int64_t>(rows));
+    metrics->histogram("view.refresh_ns")
+        ->Observe(static_cast<int64_t>(obs::NowNs() - t0));
+  }
 }
 
 void ViewCatalog::RecordStates(View* v, const Database& db) {
@@ -372,9 +369,10 @@ bool ViewCatalog::TryServe(const std::string& canonical_key, Database* db,
     resp->served_from_view = true;
     resp->explain =
         "served from materialized view '" + v.def.name + "'\n";
-    ++v.stats.served;
+    const ViewStats served{.served = 1};
+    obs::FoldCounters(kViewCounters, served, &v.stats);
+    obs::ExportCounters(kViewCounters, served, metrics);
     v.stats.result_rows = rows;
-    if (metrics != nullptr) metrics->counter("view.served")->Increment();
     return true;
   }
   return false;

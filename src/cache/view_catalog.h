@@ -84,10 +84,18 @@ struct ViewStats {
   uint64_t full_refreshes = 0;         ///< incl. the Define() one
   uint64_t incremental_refreshes = 0;
   uint64_t served = 0;                 ///< queries answered by this view
-  uint64_t last_refresh_rows = 0;      ///< novel tuples of the last refresh
-  uint64_t last_refresh_ns = 0;
   uint64_t result_rows = 0;            ///< distinguished relation size
   bool fresh = false;                  ///< deps unchanged since last refresh
+};
+
+/// \brief The counters of ViewStats, listed once: each refresh or serve
+/// folds into the view's stats and exports to the registry from this
+/// list. A refresh's rows and wall-clock go to the `view.refresh_rows` /
+/// `view.refresh_ns` distributions only.
+inline constexpr obs::CounterField<ViewStats> kViewCounters[] = {
+    {"view.refreshes_full", &ViewStats::full_refreshes},
+    {"view.refreshes_incremental", &ViewStats::incremental_refreshes},
+    {"view.served", &ViewStats::served},
 };
 
 class ViewCatalog {
@@ -168,6 +176,11 @@ class ViewCatalog {
   bool IncrementalSafe(const View& v, const storage::Database& db,
                        const std::set<Symbol>& changed) const;
   void RecordStates(View* v, const storage::Database& db);
+  /// Books a finished refresh of kind `event` (one kViewCounters count)
+  /// that derived `rows` tuples since `t0`, and records v's new states.
+  void FinishRefresh(View* v, const ViewStats& event, uint64_t rows,
+                     uint64_t t0, const storage::Database& db,
+                     obs::MetricsRegistry* metrics);
   Status RefreshView(View* v, storage::Database* db,
                      obs::MetricsRegistry* metrics, bool force_full);
 

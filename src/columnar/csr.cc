@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/trace.h"
-
 namespace graphlog::columnar {
 
 using storage::Relation;
@@ -27,7 +25,7 @@ size_t Csr::MemoryBytes() const {
   return bytes;
 }
 
-Result<Csr> BuildCsr(const Relation& rel, obs::MetricsRegistry* metrics,
+Result<Csr> BuildCsr(const Relation& rel,
                      const gov::GovernorContext* governor) {
   GRAPHLOG_RETURN_NOT_OK(gov::CheckPoint(governor, "csr.build"));
   if (rel.arity() != 2) {
@@ -35,7 +33,6 @@ Result<Csr> BuildCsr(const Relation& rel, obs::MetricsRegistry* metrics,
         "BuildCsr: relation has arity " + std::to_string(rel.arity()) +
         ", want 2");
   }
-  const uint64_t t0 = metrics != nullptr ? obs::NowNs() : 0;
 
   Csr csr;
   csr.source_uid = rel.uid();
@@ -93,10 +90,6 @@ Result<Csr> BuildCsr(const Relation& rel, obs::MetricsRegistry* metrics,
               csr.sorted_targets.begin() + csr.sorted_offsets[u + 1]);
   }
 
-  if (metrics != nullptr) {
-    metrics->counter("columnar.builds")->Increment();
-    metrics->counter("columnar.build_ns")->Add(obs::NowNs() - t0);
-  }
   return csr;
 }
 

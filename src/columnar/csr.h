@@ -34,7 +34,6 @@
 #include "common/result.h"
 #include "common/value.h"
 #include "gov/governor.h"
-#include "obs/metrics.h"
 #include "storage/relation.h"
 
 namespace graphlog::columnar {
@@ -95,10 +94,9 @@ struct Csr {
 /// \brief Builds a CSR snapshot of `rel` (which must have arity 2).
 ///
 /// Consults the governor's `csr.build` injection point first (null
-/// governor is fine) and, when `metrics` is set, bumps
-/// `columnar.builds` / `columnar.build_ns`.
+/// governor is fine). Builds are counted by CsrCache, through which every
+/// kernel and the engine obtain their snapshots.
 Result<Csr> BuildCsr(const storage::Relation& rel,
-                     obs::MetricsRegistry* metrics = nullptr,
                      const gov::GovernorContext* governor = nullptr);
 
 }  // namespace graphlog::columnar

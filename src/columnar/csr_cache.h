@@ -23,6 +23,7 @@
 #include <unordered_map>
 
 #include "columnar/csr.h"
+#include "obs/metrics.h"
 
 namespace graphlog::columnar {
 
@@ -32,18 +33,27 @@ namespace graphlog::columnar {
 class CsrCache {
  public:
   /// \brief Returns a CSR snapshot of `rel` (arity 2), reusing the
-  /// cached one when still valid. `metrics` (nullable) receives
-  /// columnar.builds / build_ns / reuses / invalidations; `governor`
-  /// (nullable) gates builds through the `csr.build` injection point.
+  /// cached one when still valid. `metrics` (nullable) receives the call's
+  /// kCounters as `columnar.*` counters; `governor` (nullable) gates
+  /// builds through the `csr.build` injection point.
   Result<std::shared_ptr<const Csr>> Get(
       const storage::Relation& rel, obs::MetricsRegistry* metrics = nullptr,
       const gov::GovernorContext* governor = nullptr);
 
-  /// \brief Lifetime counters (also exported as columnar.* metrics).
+  /// \brief Lifetime counters.
   struct Stats {
     uint64_t builds = 0;         ///< CSR constructions (incl. uncached)
+    uint64_t build_ns = 0;       ///< wall-clock spent in those builds
     uint64_t reuses = 0;         ///< hits served without rebuilding
     uint64_t invalidations = 0;  ///< stale entries replaced
+  };
+  /// \brief Every counter of Stats, listed once: Get() folds each call
+  /// into stats() and exports it from this list.
+  static constexpr obs::CounterField<Stats> kCounters[] = {
+      {"columnar.builds", &Stats::builds},
+      {"columnar.build_ns", &Stats::build_ns},
+      {"columnar.reuses", &Stats::reuses},
+      {"columnar.invalidations", &Stats::invalidations},
   };
   Stats stats() const;
 

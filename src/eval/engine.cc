@@ -110,6 +110,10 @@ class Engine {
       span.AddAttr("strata", strat.num_strata);
     }
     stats_.strata = strat.num_strata;
+    if (options_.metrics != nullptr) {  // once per run, not per round
+      stratum_rounds_ = options_.metrics->histogram("eval.stratum_rounds");
+      delta_rows_ = options_.metrics->histogram("eval.delta_rows");
+    }
     if (options_.profile != nullptr) {
       options_.profile->rules.resize(prog_.rules.size());
     }
@@ -168,10 +172,9 @@ class Engine {
         Rollback();
         return st;
       }
-      if (options_.metrics != nullptr) {
-        options_.metrics->histogram("eval.stratum_rounds")
-            ->Observe(static_cast<int64_t>(stats_.iterations -
-                                           rounds_before));
+      if (stratum_rounds_ != nullptr) {
+        stratum_rounds_->Observe(
+            static_cast<int64_t>(stats_.iterations - rounds_before));
       }
     }
     stats_.truncated = truncated_;
@@ -184,14 +187,8 @@ class Engine {
     stats_.index_builds -= base_builds;
     stats_.index_appends -= base_appends;
     if (options_.metrics != nullptr) {
-      // One registration + one add per counter per run.
-      obs::MetricsRegistry& m = *options_.metrics;
-      m.counter("eval.runs")->Increment();
-      for (const EvalCounter& c : kEvalCounters) {
-        if (c.fold == CounterFold::kSum) {
-          m.counter(c.name)->Add(stats_.*c.field);
-        }
-      }
+      options_.metrics->counter("eval.runs")->Increment();
+      obs::ExportCounters(kEvalCounters, stats_, options_.metrics);
     }
     return stats_;
   }
@@ -389,9 +386,8 @@ class Engine {
       if (delta_bytes > stats_.peak_delta_bytes) {
         stats_.peak_delta_bytes = delta_bytes;
       }
-      if (options_.metrics != nullptr) {
-        options_.metrics->histogram("eval.delta_rows")
-            ->Observe(static_cast<int64_t>(delta_rows));
+      if (delta_rows_ != nullptr) {
+        delta_rows_->Observe(static_cast<int64_t>(delta_rows));
       }
       const uint64_t firings_before = stats_.rule_firings;
       const uint64_t derived_before = stats_.tuples_derived;
@@ -1013,6 +1009,9 @@ class Engine {
   // options_.columnar.
   columnar::CsrCache local_csr_cache_;
   columnar::CsrCache* csr_cache_;
+  // Histogram handles in options_.metrics (null without one).
+  obs::HistogramCell* stratum_rounds_ = nullptr;
+  obs::HistogramCell* delta_rows_ = nullptr;
 
   /// Pre-run size of every head relation, or kCreatedByRun for relations
   /// this run declares; the Rollback() baseline.

@@ -11,19 +11,18 @@
 #ifndef GRAPHLOG_EVAL_ENGINE_H_
 #define GRAPHLOG_EVAL_ENGINE_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <string_view>
 
 #include "common/result.h"
 #include "datalog/ast.h"
+#include "obs/metrics.h"
 #include "storage/database.h"
 
 namespace graphlog::obs {
-class Tracer;           // obs/trace.h
-class MetricsRegistry;  // obs/metrics.h
-struct QueryProfile;    // obs/profile.h
+class Tracer;         // obs/trace.h
+struct QueryProfile;  // obs/profile.h
 }
 
 namespace graphlog::gov {
@@ -149,46 +148,25 @@ struct EvalStats {
   void Merge(const EvalStats& other);
 };
 
-/// \brief How a counter combines when runs are merged.
-enum class CounterFold : uint8_t {
-  kSum,  ///< totals add; exported as a registry counter of the same name
-  kMax,  ///< peaks take the max; per-query only (slow-query log)
-};
-
-/// \brief One EvalStats counter: its name, its field, and how it folds.
-struct EvalCounter {
-  /// "eval." + the field's name; a kSum counter's registry name.
-  std::string_view name;
-  uint64_t EvalStats::*field;
-  CounterFold fold;
-
-  /// \brief The field's name (the slow-query log's "stats" key).
-  std::string_view field_name() const { return name.substr(5); }
-};
-
 /// \brief Every counter of EvalStats, listed once. EvalStats::Merge, the
 /// engine's `eval.*` registry export (EvalOptions::metrics) and the
 /// slow-query record's stats are all derived from this list, so a new
 /// counter needs only its field and one entry here.
-inline constexpr EvalCounter kEvalCounters[] = {
-    {"eval.iterations", &EvalStats::iterations, CounterFold::kSum},
-    {"eval.rule_firings", &EvalStats::rule_firings, CounterFold::kSum},
-    {"eval.tuples_derived", &EvalStats::tuples_derived, CounterFold::kSum},
-    {"eval.strata", &EvalStats::strata, CounterFold::kSum},
-    {"eval.index_builds", &EvalStats::index_builds, CounterFold::kSum},
-    {"eval.index_appends", &EvalStats::index_appends, CounterFold::kSum},
-    {"eval.peak_delta_rows", &EvalStats::peak_delta_rows, CounterFold::kMax},
+inline constexpr obs::CounterField<EvalStats> kEvalCounters[] = {
+    {"eval.iterations", &EvalStats::iterations},
+    {"eval.rule_firings", &EvalStats::rule_firings},
+    {"eval.tuples_derived", &EvalStats::tuples_derived},
+    {"eval.strata", &EvalStats::strata},
+    {"eval.index_builds", &EvalStats::index_builds},
+    {"eval.index_appends", &EvalStats::index_appends},
+    {"eval.peak_delta_rows", &EvalStats::peak_delta_rows,
+     obs::CounterFold::kMax},
     {"eval.peak_delta_bytes", &EvalStats::peak_delta_bytes,
-     CounterFold::kMax},
+     obs::CounterFold::kMax},
 };
 
 inline void EvalStats::Merge(const EvalStats& other) {
-  for (const EvalCounter& c : kEvalCounters) {
-    uint64_t& mine = this->*c.field;
-    const uint64_t theirs = other.*c.field;
-    mine = c.fold == CounterFold::kSum ? mine + theirs
-                                       : std::max(mine, theirs);
-  }
+  obs::FoldCounters(kEvalCounters, other, this);
   truncated |= other.truncated;
   if (truncated_by.empty()) truncated_by = other.truncated_by;
 }

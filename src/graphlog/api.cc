@@ -538,8 +538,6 @@ Result<QueryResponse> detail::RunPipeline(const QueryRequest& req,
     metrics->counter("query.result_tuples")->Add(resp.stats.result_tuples);
     metrics->histogram("query.duration_ns")
         ->Observe(static_cast<int64_t>(duration_ns));
-    db->ExportResourceMetrics(metrics);
-    if (rcache != nullptr) rcache->ExportMetrics(metrics);
   }
 
   if ((slow_log_armed &&
@@ -562,7 +560,7 @@ Result<QueryResponse> detail::RunPipeline(const QueryRequest& req,
     // Captures the profile of governed aborts too — where the query was
     // when it died is exactly what the record is for.
     if (!resp.profile.empty()) rec.profile_json = resp.profile.ToJson();
-    for (const eval::EvalCounter& c : eval::kEvalCounters) {
+    for (const auto& c : eval::kEvalCounters) {
       rec.stats.emplace_back(c.field_name(), resp.stats.datalog.*c.field);
     }
     rec.stats.emplace_back("result_tuples", resp.stats.result_tuples);

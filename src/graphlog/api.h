@@ -116,10 +116,11 @@ struct QueryOptions {
     /// When set, Run() folds cumulative process-wide metrics into this
     /// registry: `query.runs` / `query.errors` / `query.result_tuples`
     /// counters, the `query.duration_ns` wall-clock histogram (a timing
-    /// metric — excluded from the deterministic snapshot projection), the
-    /// engine/kernel counters (threaded through eval.metrics), and the
-    /// post-run `db.*` resource gauges. Null (the default) is the
-    /// zero-overhead path. See obs/metrics.h.
+    /// metric — excluded from the deterministic snapshot projection) and
+    /// the engine/kernel counters (threaded through eval.metrics). The
+    /// `db.*` and `cache.*` gauges are levels their owner exports on
+    /// demand, never a run. Null (the default) is the zero-overhead path.
+    /// See obs/metrics.h.
     obs::MetricsRegistry* metrics = nullptr;
     /// When `slow_query_log` is set and a query's wall-clock time reaches
     /// `slow_query_threshold_ns`, Run() captures the request text, the

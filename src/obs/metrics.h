@@ -7,8 +7,11 @@
 // memory each relation holds, how the fixpoint-round distribution looks
 // across the whole workload. MetricsRegistry is that layer: instruments
 // are registered once by name, updated through stable handles, and
-// snapshotted on demand. The engine derives its `eval.*` counters from
-// the one EvalStats counter list (eval/engine.h).
+// snapshotted on demand.
+//
+// The registry is a fixed set of process-wide names: stats structs export
+// through their counter lists (below), and only the on-demand
+// Database::ExportResourceMetrics names instruments after relations.
 //
 // Design constraints:
 //   * Cheap, thread-safe updates. Counter/Gauge are single relaxed
@@ -30,7 +33,9 @@
 #ifndef GRAPHLOG_OBS_METRICS_H_
 #define GRAPHLOG_OBS_METRICS_H_
 
+#include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -109,10 +114,6 @@ struct MetricsSnapshot {
   std::map<std::string, int64_t> gauges;
   std::map<std::string, Histogram> histograms;
 
-  bool empty() const {
-    return counters.empty() && gauges.empty() && histograms.empty();
-  }
-
   /// \brief JSON export. Instruments named `*_ns` hold wall-clock data by
   /// convention; with `include_timings` false they are omitted, and the
   /// remaining structural snapshot is byte-identical across num_threads
@@ -161,6 +162,77 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<HistogramCell>> histograms_;
 };
+
+// ---------------------------------------------------------------------------
+// Counter lists: a stats struct lists its uint64_t counters once, as a
+// constexpr CounterField array; its merge, registry export and printing
+// loop over that list, so each instrument name is spelled at one site.
+
+/// \brief How a listed counter combines when two records merge.
+enum class CounterFold : uint8_t {
+  kSum,  ///< totals add; exported as a registry counter of the same name
+  kMax,  ///< peaks take the max; per-record only, never exported
+};
+
+/// \brief One counter of stats struct `Stats`.
+template <typename Stats>
+struct CounterField {
+  std::string_view name;  ///< "<layer>.<short name>": the instrument name
+  uint64_t Stats::*field;
+  CounterFold fold = CounterFold::kSum;
+
+  /// \brief The short name after the layer prefix (slow-log/shell key).
+  std::string_view field_name() const {
+    return name.substr(name.find('.') + 1);
+  }
+};
+
+/// \brief Folds `from` into `*into` entry by entry; other fields stay.
+template <typename Stats, size_t N>
+void FoldCounters(const CounterField<Stats> (&list)[N], const Stats& from,
+                  Stats* into) {
+  for (const CounterField<Stats>& c : list) {
+    uint64_t& mine = into->*c.field;
+    mine = c.fold == CounterFold::kSum ? mine + from.*c.field
+                                       : std::max(mine, from.*c.field);
+  }
+}
+
+/// \brief Adds each kSum entry of `s` to the registry counter of the same
+/// name; no-op when `registry` is null.
+template <typename Stats, size_t N>
+void ExportCounters(const CounterField<Stats> (&list)[N], const Stats& s,
+                    MetricsRegistry* registry) {
+  if (registry == nullptr) return;
+  for (const CounterField<Stats>& c : list) {
+    if (c.fold == CounterFold::kSum) {
+      registry->counter(c.name)->Add(s.*c.field);
+    }
+  }
+}
+
+/// \brief Sets one gauge per entry to its absolute value: the export of a
+/// cumulative record its owner publishes on demand. No-op on null.
+template <typename Stats, size_t N>
+void ExportGauges(const CounterField<Stats> (&list)[N], const Stats& s,
+                  MetricsRegistry* registry) {
+  if (registry == nullptr) return;
+  for (const CounterField<Stats>& c : list) {
+    registry->gauge(c.name)->Set(static_cast<int64_t>(s.*c.field));
+  }
+}
+
+/// \brief "3 queries, 0 errors, ...": every entry in list order.
+template <typename Stats, size_t N>
+std::string CountersToText(const CounterField<Stats> (&list)[N],
+                           const Stats& s) {
+  std::string out;
+  for (const CounterField<Stats>& c : list) {
+    if (!out.empty()) out += ", ";
+    out += std::to_string(s.*c.field) + " " + std::string(c.field_name());
+  }
+  return out;
+}
 
 }  // namespace graphlog::obs
 

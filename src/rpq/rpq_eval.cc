@@ -100,7 +100,7 @@ Status SearchFrom(const DataGraph& g, const Nfa& nfa, NodeId source,
     }
     auto [n, state] = queue.front();
     queue.pop_front();
-    if (stats != nullptr) ++stats->product_states_visited;
+    ++stats->product_states_visited;
     if (state == nfa.accept()) {
       if (!target.has_value() || n == *target) {
         out->Insert(Tuple{g.node_value(source), g.node_value(n)});
@@ -111,7 +111,7 @@ Status SearchFrom(const DataGraph& g, const Nfa& nfa, NodeId source,
       if (t.epsilon) continue;  // covered by closure at enqueue
       const auto& edge_ids = t.inverted ? g.InEdges(n) : g.OutEdges(n);
       for (uint32_t ei : edge_ids) {
-        if (stats != nullptr) ++stats->edge_traversals;
+        ++stats->edge_traversals;
         const Edge& e = g.edge(ei);
         if (!EdgeMatches(e, t)) continue;
         NodeId next = t.inverted ? e.from : e.to;
@@ -133,18 +133,15 @@ void FinishRpqSpan(obs::SpanGuard& span, std::string_view automaton,
     span.AddAttr("automaton_states", static_cast<int64_t>(automaton_states));
     span.AddAttr("source_fixed", options.source.has_value() ? 1 : 0);
     span.AddAttr("target_fixed", options.target.has_value() ? 1 : 0);
-    span.AddAttr("product_states_visited",
-                 static_cast<int64_t>(stats.product_states_visited));
-    span.AddAttr("edge_traversals",
-                 static_cast<int64_t>(stats.edge_traversals));
+    for (const auto& c : kRpqCounters) {
+      span.AddAttr(c.field_name(), static_cast<int64_t>(stats.*c.field));
+    }
     span.AddAttr("pairs", static_cast<int64_t>(out.size()));
   }
   if (options.metrics != nullptr) {
     obs::MetricsRegistry& m = *options.metrics;
     m.counter("rpq.invocations")->Increment();
-    m.counter("rpq.product_states_visited")
-        ->Add(stats.product_states_visited);
-    m.counter("rpq.edge_traversals")->Add(stats.edge_traversals);
+    obs::ExportCounters(kRpqCounters, stats, &m);
     m.histogram("rpq.result_pairs")
         ->Observe(static_cast<int64_t>(out.size()));
   }
@@ -156,13 +153,8 @@ Result<Relation> EvalRpq(const DataGraph& g, const gl::PathExpr& expr,
                          const RpqOptions& options, RpqStats* stats) {
   GRAPHLOG_ASSIGN_OR_RETURN(Nfa nfa, Nfa::Compile(expr));
   obs::SpanGuard span(options.tracer, "rpq");
-  // Effort counters feed the span/registry even when the caller passed no
-  // stats; a governed run always tracks them so truncation is reportable.
   RpqStats local;
-  if (stats == nullptr && (span.enabled() || options.metrics != nullptr ||
-                           options.governor != nullptr)) {
-    stats = &local;
-  }
+  if (stats == nullptr) stats = &local;
   GovState gstate{options.governor};
   // Up-front check so a pre-cancelled token, expired deadline, or armed
   // first-hit fault trips even when the search itself has no work.
@@ -170,10 +162,8 @@ Result<Relation> EvalRpq(const DataGraph& g, const gl::PathExpr& expr,
 
   Relation out(2);
   auto finish = [&]() {
-    if (stats != nullptr) {
-      stats->truncated = gstate.truncated;
-      FinishRpqSpan(span, "nfa", nfa.num_states(), options, *stats, out);
-    }
+    stats->truncated = gstate.truncated;
+    FinishRpqSpan(span, "nfa", nfa.num_states(), options, *stats, out);
   };
   std::optional<NodeId> target;
   if (options.target.has_value()) {
@@ -371,7 +361,7 @@ Status SearchFromBitset(const DataGraph& g, const Dfa& dfa,
   sc->emitted.Reset();
   sc->reached[dfa.start()].Set(source);
   sc->frontier[dfa.start()].Set(source);
-  if (stats != nullptr) ++stats->product_states_visited;
+  ++stats->product_states_visited;
   // Result pairs bypass the hash-dedup Insert path: `emitted` makes a
   // node's first acceptance the only one per source, and sources differ
   // across calls, so every appended pair is provably new.
@@ -406,7 +396,7 @@ Status SearchFromBitset(const DataGraph& g, const Dfa& dfa,
             }
           }
           const uint32_t lo = a.offsets[u], hi = a.offsets[u + 1];
-          if (stats != nullptr) stats->edge_traversals += hi - lo;
+          stats->edge_traversals += hi - lo;
           for (uint32_t k = lo; k < hi; ++k) dst.Set(a.targets[k]);
         });
       }
@@ -418,9 +408,7 @@ Status SearchFromBitset(const DataGraph& g, const Dfa& dfa,
       if (sc->next[q].AndNot(sc->reached[q])) {
         sc->reached[q].OrWith(sc->next[q]);
         any = true;
-        if (stats != nullptr) {
-          stats->product_states_visited += sc->next[q].Count();
-        }
+        stats->product_states_visited += sc->next[q].Count();
         if (dfa.IsAccepting(static_cast<uint32_t>(q))) {
           sc->next[q].ForEachSet([&](uint32_t v) { emit(v); });
         }
@@ -440,10 +428,7 @@ Result<Relation> EvalRpqBitset(const DataGraph& g, const gl::PathExpr& expr,
   Dfa dfa = det.Minimize();
   obs::SpanGuard span(options.tracer, "rpq");
   RpqStats local;
-  if (stats == nullptr && (span.enabled() || options.metrics != nullptr ||
-                           options.governor != nullptr)) {
-    stats = &local;
-  }
+  if (stats == nullptr) stats = &local;
   GovState gstate{options.governor};
   GRAPHLOG_RETURN_NOT_OK(gov::CheckPoint(options.governor, "rpq.step"));
 
@@ -461,11 +446,8 @@ Result<Relation> EvalRpqBitset(const DataGraph& g, const gl::PathExpr& expr,
 
   Relation out(2);
   auto finish = [&]() {
-    if (stats != nullptr) {
-      stats->truncated = gstate.truncated;
-      FinishRpqSpan(span, "dfa-bitset", dfa.num_states(), options, *stats,
-                    out);
-    }
+    stats->truncated = gstate.truncated;
+    FinishRpqSpan(span, "dfa-bitset", dfa.num_states(), options, *stats, out);
   };
   std::optional<NodeId> target;
   if (options.target.has_value()) {

@@ -68,6 +68,13 @@ struct RpqStats {
   bool truncated = false;
 };
 
+/// \brief Every counter of RpqStats, listed once; the evaluators' registry
+/// export (RpqOptions::metrics) is derived from it.
+inline constexpr obs::CounterField<RpqStats> kRpqCounters[] = {
+    {"rpq.product_states_visited", &RpqStats::product_states_visited},
+    {"rpq.edge_traversals", &RpqStats::edge_traversals},
+};
+
 /// \brief Evaluates `expr` over `g`, returning the binary relation of
 /// (source, target) node values connected by a matching path.
 ///

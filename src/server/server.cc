@@ -176,24 +176,21 @@ Result<std::unique_ptr<Session>> Server::OpenSession(SessionOptions opts) {
                      session_seq_.fetch_add(1, std::memory_order_relaxed) + 1);
   }
   std::unique_ptr<Session> s(new Session(this, std::move(opts), std::move(name)));
-  obs::MetricsRegistry* defaults = s->opts_.defaults.observability.metrics;
-  s->metrics_ = Session::Metrics::Resolve(
-      defaults != nullptr ? defaults : opts_.metrics, s->name_);
   if (opts_.metrics != nullptr) {
-    s->refreshes_counter_ =
-        opts_.metrics->counter("session." + s->name_ + ".refreshes");
     opts_.metrics->counter("server.sessions_opened")->Increment();
-    opts_.metrics->gauge("server.sessions")
-        ->Set(static_cast<int64_t>(open_sessions()));
   }
+  PublishSessionCount(before + 1);
   return s;
 }
 
 void Server::ReleaseSession() {
-  const size_t now =
-      open_sessions_.fetch_sub(1, std::memory_order_relaxed) - 1;
+  PublishSessionCount(open_sessions_.fetch_sub(1, std::memory_order_relaxed) -
+                      1);
+}
+
+void Server::PublishSessionCount(size_t open) {
   if (opts_.metrics != nullptr) {
-    opts_.metrics->gauge("server.sessions")->Set(static_cast<int64_t>(now));
+    opts_.metrics->gauge("server.sessions")->Set(static_cast<int64_t>(open));
   }
 }
 
@@ -458,7 +455,6 @@ Status Session::Refresh() {
   std::shared_ptr<const Snapshot> snap = server_->head();
   if (snap->epoch == epoch_) return Status::OK();
   ++stats_.refreshes;
-  if (refreshes_counter_ != nullptr) refreshes_counter_->Increment();
   if (!db_->symbols().Rebase(snap->symbols)) {
     // A newly committed server symbol spells the same string as one this
     // session interned locally: two ids would name one string, so the
@@ -500,24 +496,6 @@ Result<size_t> Session::Apply(const WriteBatch& batch,
   ++stats_.writes;
   GRAPHLOG_RETURN_NOT_OK(Refresh());
   return facts;
-}
-
-Session::Metrics Session::Metrics::Resolve(obs::MetricsRegistry* registry,
-                                           const std::string& session_name) {
-  Metrics m;
-  m.registry = registry;
-  if (registry == nullptr) return m;
-  const std::string p = "session." + session_name + ".";
-  m.server_queries = registry->counter("server.queries");
-  m.queries = registry->counter(p + "queries");
-  m.errors = registry->counter(p + "errors");
-  m.cache_hits = registry->counter(p + "cache_hits");
-  m.truncated = registry->counter(p + "truncated");
-  m.profile_runs = registry->counter(p + "profile.runs");
-  m.profile_rounds = registry->counter(p + "profile.rounds");
-  m.duration_ns = registry->histogram(p + "duration_ns");
-  m.epoch = registry->gauge(p + "epoch");
-  return m;
 }
 
 Result<QueryResponse> Session::Run(QueryRequest req) {
@@ -578,32 +556,19 @@ Result<QueryResponse> Session::Run(QueryRequest req) {
     o.eval.governor = &session_governor;
   }
 
-  const auto started = std::chrono::steady_clock::now();
   Result<QueryResponse> resp = detail::RunPipeline(req, db_);
-  const int64_t duration_ns =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - started)
-          .count();
   ++stats_.queries;
-  if (!resp.ok()) ++stats_.errors;
-  if (resp.ok() && resp->cache_hit) ++stats_.cache_hits;
-  if (obs::MetricsRegistry* r = o.observability.metrics; r != nullptr) {
-    // A request naming a registry of its own resolves handles there.
-    const Metrics m = r == metrics_.registry ? metrics_
-                                              : Metrics::Resolve(r, name_);
-    m.server_queries->Increment();
-    m.queries->Increment();
-    if (!resp.ok()) m.errors->Increment();
-    if (resp.ok() && resp->cache_hit) m.cache_hits->Increment();
-    if (resp.ok() && resp->truncated) m.truncated->Increment();
-    if (resp.ok() && !resp->profile.empty()) {
-      // EXPLAIN ANALYZE usage per session: how often, and how much work
-      // the profiled queries covered (deterministic logical counts).
-      m.profile_runs->Increment();
-      m.profile_rounds->Add(static_cast<int64_t>(resp->profile.rounds.size()));
-    }
-    m.duration_ns->Observe(duration_ns);
-    m.epoch->Set(static_cast<int64_t>(epoch()));
+  if (!resp.ok()) {
+    ++stats_.errors;
+    return resp;
+  }
+  if (resp->cache_hit) ++stats_.cache_hits;
+  if (resp->truncated) ++stats_.truncated;
+  if (!resp->profile.empty()) {
+    // EXPLAIN ANALYZE usage: how often, and how much work the profiled
+    // queries covered (deterministic logical counts).
+    ++stats_.profile_runs;
+    stats_.profile_rounds += resp->profile.rounds.size();
   }
   return resp;
 }

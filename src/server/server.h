@@ -81,12 +81,6 @@ struct BatchCodec;  // durability/wal.h: WAL wire format for WriteBatch
 class Wal;
 }  // namespace durability
 
-namespace obs {
-class Counter;        // obs/metrics.h
-class Gauge;          // obs/metrics.h
-class HistogramCell;  // obs/metrics.h
-}  // namespace obs
-
 namespace net {
 struct WireBatchAccess;  // net/protocol.h: batch translation for the wire
 }  // namespace net
@@ -157,7 +151,7 @@ class WriteBatch {
 };
 
 struct ServerOptions {
-  /// Registry for server.* / session.* accounting (and the default
+  /// Registry for server.* accounting (and the default
   /// observability.metrics of every session). Null disables.
   obs::MetricsRegistry* metrics = nullptr;
   /// Default result cache handed to sessions whose requests set none.
@@ -184,7 +178,8 @@ struct DurabilityOptions {
 
 /// \brief Per-session configuration; all fields optional.
 struct SessionOptions {
-  /// Metrics prefix ("session.<name>.*"); auto-assigned "s<N>" if empty.
+  /// Session name (slow-query attribution, the shell's session list);
+  /// auto-assigned "s<N>" if empty.
   std::string name;
   /// Default per-query resource budget, applied when a request carries no
   /// governor of its own.
@@ -256,9 +251,6 @@ class Server {
   obs::MetricsRegistry* metrics() const { return opts_.metrics; }
   cache::ResultCache* result_cache() const { return opts_.result_cache; }
   bool attached() const { return attached_; }
-  size_t open_sessions() const {
-    return open_sessions_.load(std::memory_order_relaxed);
-  }
 
   /// \brief The authoritative Database. For setup/inspection from the
   /// writer's thread only; mutating it directly bypasses atomicity and
@@ -330,6 +322,8 @@ class Server {
   void RebuildHeadLocked();
 
   void ReleaseSession();
+  /// Sets the `server.sessions` gauge to `open`.
+  void PublishSessionCount(size_t open);
 
   ServerOptions opts_;
   storage::Database owned_db_;  ///< authoritative store in owning mode
@@ -407,12 +401,28 @@ class Session {
   /// \brief Per-session CSR snapshot cache (columnar runs default to it).
   columnar::CsrCache& csr_cache() { return csr_cache_; }
 
+  /// \brief The session's own counters: its only per-session record.
   struct Stats {
     uint64_t queries = 0;
-    uint64_t errors = 0;
-    uint64_t cache_hits = 0;
     uint64_t writes = 0;
     uint64_t refreshes = 0;
+    uint64_t errors = 0;
+    uint64_t cache_hits = 0;
+    uint64_t truncated = 0;       ///< answers cut short by a budget
+    uint64_t profile_runs = 0;    ///< EXPLAIN ANALYZE runs
+    uint64_t profile_rounds = 0;  ///< rounds those profiles cover
+  };
+  /// \brief Every counter of Stats, listed once (`.session list` prints
+  /// it). Never exported: per-session names would grow the registry.
+  static constexpr obs::CounterField<Stats> kCounters[] = {
+      {"session.queries", &Stats::queries},
+      {"session.writes", &Stats::writes},
+      {"session.refreshes", &Stats::refreshes},
+      {"session.errors", &Stats::errors},
+      {"session.cache_hits", &Stats::cache_hits},
+      {"session.truncated", &Stats::truncated},
+      {"session.profile_runs", &Stats::profile_runs},
+      {"session.profile_rounds", &Stats::profile_rounds},
   };
   const Stats& stats() const { return stats_; }
 
@@ -424,23 +434,6 @@ class Session {
   /// table over the snapshot's prefix, copied version relations.
   void Materialize(const std::shared_ptr<const Snapshot>& snap);
 
-  /// Metric handles for "session.<name>.*" (plus server.queries) in one
-  /// registry, resolved once so queries skip the registry's lock.
-  struct Metrics {
-    obs::MetricsRegistry* registry = nullptr;
-    obs::Counter* server_queries = nullptr;
-    obs::Counter* queries = nullptr;
-    obs::Counter* errors = nullptr;
-    obs::Counter* cache_hits = nullptr;
-    obs::Counter* truncated = nullptr;
-    obs::Counter* profile_runs = nullptr;
-    obs::Counter* profile_rounds = nullptr;
-    obs::HistogramCell* duration_ns = nullptr;
-    obs::Gauge* epoch = nullptr;
-    static Metrics Resolve(obs::MetricsRegistry* registry,
-                           const std::string& session_name);
-  };
-
   Server* server_;
   SessionOptions opts_;
   std::string name_;
@@ -448,11 +441,6 @@ class Session {
   storage::Database owned_db_;
   storage::Database* db_;
   uint64_t epoch_ = 0;
-  /// Handles in the registry queries report to by default (session
-  /// defaults, else the server's).
-  Metrics metrics_;
-  /// "session.<name>.refreshes" in the server's registry (null: none).
-  obs::Counter* refreshes_counter_ = nullptr;
   gov::CancellationToken cancel_;
   columnar::CsrCache csr_cache_;
   Stats stats_;

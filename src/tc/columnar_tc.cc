@@ -30,14 +30,10 @@ Result<Relation> ColumnarTransitiveClosure(
   }
   const unsigned lanes = exec::ThreadPool::ResolveParallelism(num_threads);
 
-  std::shared_ptr<const Csr> csr;
-  if (cache != nullptr) {
-    GRAPHLOG_ASSIGN_OR_RETURN(csr, cache->Get(edges, metrics, governor));
-  } else {
-    GRAPHLOG_ASSIGN_OR_RETURN(Csr built,
-                              columnar::BuildCsr(edges, metrics, governor));
-    csr = std::make_shared<const Csr>(std::move(built));
-  }
+  columnar::CsrCache local_cache;
+  if (cache == nullptr) cache = &local_cache;
+  GRAPHLOG_ASSIGN_OR_RETURN(std::shared_ptr<const Csr> csr,
+                            cache->Get(edges, metrics, governor));
   const uint32_t n = csr->num_nodes();
 
   // Governed fan-out: one BFS per source, first failing source (in
@@ -130,10 +126,10 @@ Result<Relation> ColumnarTransitiveClosure(
       tc.AppendUnique(Tuple{vs, csr->values[v]});
     }
   }
-  if (stats != nullptr) {
-    stats->rounds = n;
-    stats->pair_visits = total;
-  }
+  TcStats local_stats;
+  if (stats == nullptr) stats = &local_stats;
+  stats->rounds = n;
+  stats->pair_visits = total;
   // Budgets on the merged closure: the deterministic boundary of the
   // kernel. `row_cap` is the number of rows the tripped budgets keep,
   // starting at the whole closure, so a cap of 0 truncates everything.
@@ -160,15 +156,10 @@ Result<Relation> ColumnarTransitiveClosure(
     }
     if (row_cap < tc.size()) {
       tc.TruncateTo(row_cap);
-      if (stats != nullptr) stats->truncated = true;
+      stats->truncated = true;
     }
   }
-  if (metrics != nullptr) {
-    metrics->counter("tc.invocations")->Increment();
-    metrics->counter("tc.pair_visits")->Add(total);
-    metrics->histogram("tc.output_pairs")
-        ->Observe(static_cast<int64_t>(tc.size()));
-  }
+  ExportTcMetrics(*stats, tc.size(), metrics);
   return tc;
 }
 

@@ -34,9 +34,8 @@ namespace graphlog::tc {
 /// insertion order is (source in first-appearance order, reached in
 /// ascending dense id) and identical across thread counts.
 ///
-/// When `metrics` is set the kernel folds `tc.invocations`,
-/// `tc.pair_visits` and the `tc.output_pairs` distribution into the
-/// registry, under the same names as TransitiveClosure.
+/// When `metrics` is set the run is folded into the registry through
+/// ExportTcMetrics, like TransitiveClosure's.
 ///
 /// Governance: the `csr.build` point gates the CSR construction, every
 /// lane checks `tc.expand` per source claimed, and the cancellation token

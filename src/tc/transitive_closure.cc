@@ -56,13 +56,13 @@ Result<Relation> NaiveTc(const Relation& edges, TcStats* stats,
     GRAPHLOG_RETURN_NOT_OK(TcRoundCheck(governor, rounds, tc, &truncated));
     if (truncated) break;
     ++rounds;
-    if (stats != nullptr) ++stats->rounds;
+    ++stats->rounds;
     changed = false;
     // Recompute T(x,y) :- T(x,z), E(z,y) over the FULL current closure.
     std::vector<Tuple> fresh;
     for (const Tuple& t : tc.rows()) {
       for (uint32_t i : edges.Probe(cols, Tuple{t[1]})) {
-        if (stats != nullptr) ++stats->pair_visits;
+        ++stats->pair_visits;
         Tuple cand{t[0], edges.row(i)[1]};
         if (!tc.Contains(cand)) fresh.push_back(std::move(cand));
       }
@@ -71,7 +71,7 @@ Result<Relation> NaiveTc(const Relation& edges, TcStats* stats,
       if (tc.Insert(std::move(t))) changed = true;
     }
   }
-  if (stats != nullptr) stats->truncated = truncated;
+  stats->truncated = truncated;
   return tc;
 }
 
@@ -88,11 +88,11 @@ Result<Relation> SemiNaiveTc(const Relation& edges, TcStats* stats,
     GRAPHLOG_RETURN_NOT_OK(TcRoundCheck(governor, rounds, tc, &truncated));
     if (truncated) break;
     ++rounds;
-    if (stats != nullptr) ++stats->rounds;
+    ++stats->rounds;
     Relation next(2);
     for (const Tuple& t : delta.rows()) {
       for (uint32_t i : edges.Probe(cols, Tuple{t[1]})) {
-        if (stats != nullptr) ++stats->pair_visits;
+        ++stats->pair_visits;
         Tuple cand{t[0], edges.row(i)[1]};
         if (!tc.Contains(cand)) next.Insert(std::move(cand));
       }
@@ -100,7 +100,7 @@ Result<Relation> SemiNaiveTc(const Relation& edges, TcStats* stats,
     tc.InsertAll(next);
     delta = std::move(next);
   }
-  if (stats != nullptr) stats->truncated = truncated;
+  stats->truncated = truncated;
   return tc;
 }
 
@@ -116,13 +116,13 @@ Result<Relation> SquaringTc(const Relation& edges, TcStats* stats,
     GRAPHLOG_RETURN_NOT_OK(TcRoundCheck(governor, rounds, tc, &truncated));
     if (truncated) break;
     ++rounds;
-    if (stats != nullptr) ++stats->rounds;
+    ++stats->rounds;
     changed = false;
     // T := T ∪ T∘T — doubles the reachable path length each round.
     std::vector<Tuple> fresh;
     for (const Tuple& t : tc.rows()) {
       for (uint32_t i : tc.Probe(cols, Tuple{t[1]})) {
-        if (stats != nullptr) ++stats->pair_visits;
+        ++stats->pair_visits;
         Tuple cand{t[0], tc.row(i)[1]};
         if (!tc.Contains(cand)) fresh.push_back(std::move(cand));
       }
@@ -131,7 +131,7 @@ Result<Relation> SquaringTc(const Relation& edges, TcStats* stats,
       if (tc.Insert(std::move(t))) changed = true;
     }
   }
-  if (stats != nullptr) stats->truncated = truncated;
+  stats->truncated = truncated;
   return tc;
 }
 
@@ -159,13 +159,8 @@ Result<Relation> TransitiveClosure(const Relation& edges,
         "transitive closure requires a binary relation");
   }
   obs::SpanGuard span(tracer, "tc");
-  // Effort counters feed the span/registry even when the caller passed no
-  // stats; a governed run always tracks them so truncation is reportable.
   TcStats local;
-  if (stats == nullptr &&
-      (span.enabled() || metrics != nullptr || governor != nullptr)) {
-    stats = &local;
-  }
+  if (stats == nullptr) stats = &local;
   Relation closure(2);
   switch (algorithm) {
     case TcAlgorithm::kNaive: {
@@ -187,17 +182,21 @@ Result<Relation> TransitiveClosure(const Relation& edges,
     span.AddNote("algorithm", AlgorithmName(algorithm));
     span.AddAttr("edges", static_cast<int64_t>(edges.size()));
     span.AddAttr("pairs", static_cast<int64_t>(closure.size()));
-    span.AddAttr("rounds", static_cast<int64_t>(stats->rounds));
-    span.AddAttr("pair_visits", static_cast<int64_t>(stats->pair_visits));
+    for (const auto& c : kTcCounters) {
+      span.AddAttr(c.field_name(), static_cast<int64_t>(stats->*c.field));
+    }
   }
-  if (metrics != nullptr) {
-    metrics->counter("tc.invocations")->Increment();
-    metrics->counter("tc.rounds")->Add(stats->rounds);
-    metrics->counter("tc.pair_visits")->Add(stats->pair_visits);
-    metrics->histogram("tc.output_pairs")
-        ->Observe(static_cast<int64_t>(closure.size()));
-  }
+  if (metrics != nullptr) ExportTcMetrics(*stats, closure.size(), metrics);
   return closure;
+}
+
+void ExportTcMetrics(const TcStats& stats, size_t output_pairs,
+                     obs::MetricsRegistry* metrics) {
+  if (metrics == nullptr) return;
+  metrics->counter("tc.invocations")->Increment();
+  obs::ExportCounters(kTcCounters, stats, metrics);
+  metrics->histogram("tc.output_pairs")
+      ->Observe(static_cast<int64_t>(output_pairs));
 }
 
 }  // namespace graphlog::tc

@@ -52,14 +52,26 @@ struct TcStats {
   bool truncated = false;
 };
 
+/// \brief Every counter of TcStats, listed once; the kernels' registry
+/// export (ExportTcMetrics) is derived from it.
+inline constexpr obs::CounterField<TcStats> kTcCounters[] = {
+    {"tc.rounds", &TcStats::rounds},
+    {"tc.pair_visits", &TcStats::pair_visits},
+};
+
+/// \brief Folds one finished closure into `metrics` (nullable):
+/// `tc.invocations`, the kTcCounters of `stats`, and `output_pairs` into
+/// the `tc.output_pairs` distribution. Every TC kernel reports through it.
+void ExportTcMetrics(const TcStats& stats, size_t output_pairs,
+                     obs::MetricsRegistry* metrics);
+
 /// \brief Computes the positive transitive closure of binary relation
 /// `edges`. Fails with kInvalidArgument when arity != 2.
 ///
 /// When `tracer` is set a "tc" span is recorded (algorithm, input/output
-/// sizes, rounds, candidate pairs); when `metrics` is set the cumulative
-/// kernel counters (`tc.invocations`, `tc.rounds`, `tc.pair_visits`) and
-/// the `tc.output_pairs` distribution are folded into the registry. Null
-/// for either costs one pointer test.
+/// sizes, rounds, candidate pairs); when `metrics` is set the run is
+/// folded into the registry (ExportTcMetrics). Null for either costs one
+/// pointer test.
 ///
 /// When `governor` is set the kernels poll cancellation/deadline and any
 /// armed `tc.expand` fault at every round boundary and enforce the

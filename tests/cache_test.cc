@@ -428,6 +428,8 @@ TEST(RunCacheTest, MetricsAndSlowLogRecordServing) {
   ASSERT_OK_AND_ASSIGN(QueryResponse hit, RunText(kTcQuery, &db, opts));
   ASSERT_TRUE(hit.cache_hit);
 
+  // The owner publishes the cache's gauges; queries never do.
+  cache.ExportMetrics(&metrics);
   obs::MetricsSnapshot snap = metrics.Snapshot();
   EXPECT_EQ(snap.gauges.at("cache.hits"), 1);
   EXPECT_EQ(snap.gauges.at("cache.misses"), 1);
@@ -451,6 +453,7 @@ TEST(RunCacheTest, OversizedAnswerIsPublishedAsRejected) {
   opts.observability.metrics = &metrics;
   ASSERT_OK(RunText(kTcQuery, &db, opts).status());
 
+  cache.ExportMetrics(&metrics);
   obs::MetricsSnapshot snap = metrics.Snapshot();
   ASSERT_EQ(snap.gauges.count("cache.rejected"), 1u);
   EXPECT_EQ(snap.gauges.at("cache.rejected"), 1);

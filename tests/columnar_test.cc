@@ -187,12 +187,16 @@ TEST(CsrTest, EmptyRelationBuildsEmptySnapshot) {
 }
 
 TEST(CsrTest, BuildFoldsMetrics) {
+  // Builds are counted where every snapshot is obtained: CsrCache::Get.
   Relation r(2);
   r.Insert(Tuple{Value::Int(1), Value::Int(2)});
   obs::MetricsRegistry metrics;
-  ASSERT_OK(BuildCsr(r, &metrics).status());
+  CsrCache cache;
+  ASSERT_OK(cache.Get(r, &metrics).status());
   EXPECT_EQ(metrics.counter("columnar.builds")->value(), 1u);
   EXPECT_GT(metrics.counter("columnar.build_ns")->value(), 0u);
+  EXPECT_EQ(metrics.counter("columnar.build_ns")->value(),
+            cache.stats().build_ns);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,8 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "graphlog/api.h"
@@ -160,6 +167,7 @@ std::string StructuralSnapshotAt(unsigned num_threads) {
   req.options.observability.metrics = &reg;
   auto r = graphlog::Run(req, &db);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
+  db.ExportResourceMetrics(&reg);
   return reg.Snapshot().ToJson(/*include_timings=*/false);
 }
 
@@ -295,6 +303,78 @@ TEST(SlowQueryLogTest, ZeroThresholdDisablesCapture) {
   ASSERT_OK(graphlog::Run(req, &db).status());
   EXPECT_EQ(log.size(), 0u);
   EXPECT_EQ(log.total_recorded(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// One site per instrument name
+
+/// The string literal that starts at `text[pos]` after optional
+/// whitespace, with the offset just past its closing quote; "" if none.
+std::pair<std::string, size_t> LiteralAt(const std::string& text,
+                                         size_t pos) {
+  pos = text.find_first_not_of(" \t\n", pos);
+  if (pos == std::string::npos || text[pos] != '"') return {"", pos};
+  const size_t end = text.find('"', pos + 1);
+  if (end == std::string::npos) return {"", pos};
+  return {text.substr(pos + 1, end - pos - 1), end + 1};
+}
+
+/// Every instrument name string literal under src/ (path injected by
+/// CMake), with the sites that spell it: the first argument of a
+/// counter()/gauge()/histogram() call, or the name of a counter-list
+/// entry (`{"tc.rounds", &TcStats::rounds}`).
+std::map<std::string, std::vector<std::string>> InstrumentNameSites() {
+  std::map<std::string, std::vector<std::string>> sites;
+  for (const auto& file :
+       std::filesystem::recursive_directory_iterator(GRAPHLOG_SRC_DIR)) {
+    const std::string ext = file.path().extension().string();
+    if (ext != ".h" && ext != ".cc") continue;
+    std::stringstream buf;
+    buf << std::ifstream(file.path()).rdbuf();
+    const std::string text = buf.str();
+    auto add = [&](const std::string& name, size_t pos) {
+      const auto line = 1 + std::count(text.begin(), text.begin() + pos, '\n');
+      sites[name].push_back(file.path().filename().string() + ":" +
+                            std::to_string(line));
+    };
+    for (const std::string call : {"counter(", "gauge(", "histogram("}) {
+      for (size_t p = text.find(call); p != std::string::npos;
+           p = text.find(call, p + 1)) {
+        const unsigned char before = p > 0 ? text[p - 1] : ' ';
+        if (std::isalnum(before) || before == '_') continue;  // my_counter(
+        const std::string name = LiteralAt(text, p + call.size()).first;
+        if (!name.empty()) add(name, p);
+      }
+    }
+    for (size_t p = text.find('{'); p != std::string::npos;
+         p = text.find('{', p + 1)) {
+      const auto [name, after] = LiteralAt(text, p + 1);
+      if (name.empty()) continue;
+      const size_t comma = text.find_first_not_of(" \t\n", after);
+      if (comma == std::string::npos || text[comma] != ',') continue;
+      const size_t amp = text.find_first_not_of(" \t\n", comma + 1);
+      if (amp != std::string::npos && text[amp] == '&') add(name, p);
+    }
+  }
+  return sites;
+}
+
+TEST(MetricNamesAuditTest, EveryInstrumentNameHasOneSite) {
+  const auto sites = InstrumentNameSites();
+  // If the idioms change and the scan goes blind, fail here rather than
+  // pass on an empty set: both kinds of site must be seen.
+  EXPECT_GE(sites.size(), 60u);
+  for (const char* expected :
+       {"query.runs", "server.sessions", "eval.runs", "tc.invocations",
+        "eval.rule_firings", "tc.rounds", "cache.rejected",
+        "columnar.builds", "view.served", "session.queries"}) {
+    EXPECT_EQ(sites.count(expected), 1u) << expected << " not found";
+  }
+  for (const auto& [name, where] : sites) {
+    std::string list;
+    for (const std::string& w : where) list += " " + w;
+    EXPECT_EQ(where.size(), 1u) << name << " is spelled at" << list;
+  }
 }
 
 }  // namespace

@@ -337,12 +337,12 @@ TEST(EvalStatsTest, MergeTakesPeakMaxAndFirstTruncationReason) {
 
 TEST(EvalStatsTest, CounterListFeedsMergeRegistryAndSlowLog) {
   // Every listed counter is reachable from Merge, with its declared fold.
-  for (const eval::EvalCounter& c : eval::kEvalCounters) {
+  for (const auto& c : eval::kEvalCounters) {
     eval::EvalStats a, b;
     a.*c.field = 3;
     b.*c.field = 4;
     a.Merge(b);
-    EXPECT_EQ(a.*c.field, c.fold == eval::CounterFold::kSum ? 7u : 4u)
+    EXPECT_EQ(a.*c.field, c.fold == obs::CounterFold::kSum ? 7u : 4u)
         << c.name;
   }
 
@@ -361,14 +361,14 @@ TEST(EvalStatsTest, CounterListFeedsMergeRegistryAndSlowLog) {
   const obs::MetricsSnapshot snap = registry.Snapshot();
   ASSERT_EQ(slow_log.size(), 1u);
   const std::string json = slow_log.Entries()[0].ToJson();
-  for (const eval::EvalCounter& c : eval::kEvalCounters) {
+  for (const auto& c : eval::kEvalCounters) {
     const uint64_t value = r->stats.datalog.*c.field;
     const std::string field = "\"" + std::string(c.field_name()) +
                               "\":" + std::to_string(value);
     EXPECT_TRUE(json.find(field + ",") != std::string::npos ||
                 json.find(field + "}") != std::string::npos)
         << field;
-    if (c.fold == eval::CounterFold::kSum) {
+    if (c.fold == obs::CounterFold::kSum) {
       auto it = snap.counters.find(std::string(c.name));
       ASSERT_NE(it, snap.counters.end()) << c.name;
       EXPECT_EQ(it->second, value) << c.name;

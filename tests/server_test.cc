@@ -555,16 +555,52 @@ TEST(ServerGovernanceTest, MetricsAccountPerSessionAndServer) {
   ASSERT_OK(session->Apply(WriteBatch().Insert("edge", {"e", "f"})).status());
   auto snap = metrics.Snapshot();
   EXPECT_EQ(snap.counters.at("server.commits"), 2u);
-  EXPECT_EQ(snap.counters.at("server.queries"), 1u);
+  EXPECT_EQ(snap.counters.at("query.runs"), 1u);
   EXPECT_EQ(snap.counters.at("server.sessions_opened"), 1u);
-  EXPECT_EQ(snap.counters.at("session.alpha.queries"), 1u);
   EXPECT_EQ(snap.gauges.at("server.epoch"), 2);
+  // Per-session counts live in Session::Stats only, never as registry
+  // names.
   EXPECT_EQ(session->stats().queries, 1u);
   EXPECT_EQ(session->stats().writes, 1u);
+  EXPECT_EQ(session->stats().refreshes, 1u);
+  EXPECT_EQ(session->stats().errors, 0u);
+  for (const auto& [name, value] : snap.counters) {
+    EXPECT_NE(name.rfind("session.", 0), 0u) << name;
+  }
   // The sessions gauge tracks closes as well as opens.
   EXPECT_EQ(snap.gauges.at("server.sessions"), 1);
   session.reset();
   EXPECT_EQ(metrics.Snapshot().gauges.at("server.sessions"), 0);
+}
+
+TEST(ServerGovernanceTest, RegistryStaysBoundedAcrossSessionsAndQueries) {
+  // Every query below materializes predicates no earlier query used, and
+  // every session has its own name; neither may add instruments to the
+  // registry, which holds a fixed set of process-wide names.
+  obs::MetricsRegistry metrics;
+  Server server({.metrics = &metrics});
+  ASSERT_OK(server.Apply(WriteBatch().Facts(kSeedFacts)).status());
+  auto instruments = [&metrics] {
+    const obs::MetricsSnapshot snap = metrics.Snapshot();
+    return snap.counters.size() + snap.gauges.size() + snap.histograms.size();
+  };
+  size_t after_first = 0;
+  for (int s = 0; s < 20; ++s) {
+    ASSERT_OK_AND_ASSIGN(auto session, server.OpenSession());
+    for (int q = 0; q < 5; ++q) {
+      const std::string name = "from-a-s" + std::to_string(s) + "q" +
+                               std::to_string(q);
+      QueryRequest req = QueryRequest::GraphLog(
+          "query " + name + " { edge \"a\" -> Y : edge+; distinguished \"a\" "
+          "-> Y : " + name + "; }");
+      req.options.translation.specialize_bound_closures = true;
+      ASSERT_OK_AND_ASSIGN(QueryResponse r, session->Run(std::move(req)));
+      EXPECT_EQ(r.stats.result_tuples, 4u) << name;
+    }
+    if (s == 0) after_first = instruments();
+  }
+  EXPECT_GT(after_first, 0u);
+  EXPECT_EQ(instruments(), after_first);
 }
 
 // ---------------------------------------------------------------------------

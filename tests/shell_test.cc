@@ -175,11 +175,11 @@ digraph graphical_query {
 }
 no views defined; .view define NAME QUERY
 view reach materialized (3 rows)
-  reach: 3 rows (fresh), 1 full + 0 incremental refreshes, served 0
+  reach: 3 rows (fresh), 1 refreshes_full, 0 refreshes_incremental, 0 served
 1 facts added
 (served from materialized view)
 12 tuples derived (1 graphs translated, 0 summarized)
-  reach: 6 rows (fresh), 1 full + 1 incremental refreshes, served 1
+  reach: 6 rows (fresh), 1 refreshes_full, 1 refreshes_incremental, 1 served
 view reach dropped
 )");
 }
@@ -226,8 +226,7 @@ result cache on (64 MiB budget)
 2 tuples derived (1 graphs translated, 0 summarized)
 (result cache hit)
 2 tuples derived (1 graphs translated, 0 summarized)
-result cache on: 1 hits (0 replayed), 1 misses, 1 inserts, 0 evictions
-  1 entries, 1657 bytes resident (budget 67108864)
+result cache on (budget 67108864): 1 hits, 0 replays, 1 misses, 0 evictions, 1 inserts, 0 rejected, 1657 bytes, 1 entries
 result cache off
 armed eval.round
 armed pool.task
@@ -253,8 +252,8 @@ edge(b, c).
 session side open at epoch 1 (now active)
 1 facts added
 server epoch 2, 2 open sessions
-    main: epoch 1, 0 queries, 1 writes, 1 refreshes
-  * side: epoch 2, 0 queries, 1 writes, 1 refreshes
+    main: epoch 1, 0 queries, 1 writes, 1 refreshes, 0 errors, 0 cache_hits, 0 truncated, 0 profile_runs, 0 profile_rounds
+  * side: epoch 2, 0 queries, 1 writes, 1 refreshes, 0 errors, 0 cache_hits, 0 truncated, 0 profile_runs, 0 profile_rounds
 session main active (epoch 1, server at 2)
 edge(a, b).
 session main at epoch 2
@@ -262,6 +261,22 @@ edge(a, b).
 edge(b, c).
 no session 'nosuch'; .session list
 )");
+}
+
+TEST_F(ShellTest, MetricsExportsDatabaseAndCacheGaugesOnDemand) {
+  // Queries never push the db.* and cache.* levels into the registry;
+  // .metrics exports them before it snapshots, in every format.
+  const std::string out = Run(R"(edge(a, b).
+.cache on
+query t { edge X -> Y : edge+; distinguished X -> Y : t; }
+.metrics
+.metrics prom
+)");
+  EXPECT_NE(out.find("  db.rows = "), std::string::npos) << out;
+  EXPECT_NE(out.find("  db.relation.t.rows = 1\n"), std::string::npos) << out;
+  EXPECT_NE(out.find("  cache.misses = 1\n"), std::string::npos) << out;
+  EXPECT_NE(out.find("graphlog_db_rows "), std::string::npos) << out;
+  EXPECT_NE(out.find("graphlog_cache_misses 1\n"), std::string::npos) << out;
 }
 
 TEST_F(ShellTest, WalCheckpointAndRecoverInADirectory) {

@@ -173,6 +173,37 @@ TEST(TcStatsTest, NaiveVisitsMorePairsThanSemiNaive) {
   EXPECT_GT(naive.pair_visits, semi.pair_visits);
 }
 
+TEST(TcStatsTest, EveryKernelPublishesItsListedCounters) {
+  // Both kernels export through ExportTcMetrics, so the registry's
+  // tc.rounds and tc.pair_visits equal the run's TcStats for the columnar
+  // kernel (lanes 1 and 4) as well as the round-based ones (0).
+  Database db;
+  ASSERT_OK(workload::Chain(16, &db));
+  const Relation& edges = *db.Find("edge");
+  for (unsigned lanes : {0u, 1u, 4u}) {
+    obs::MetricsRegistry metrics;
+    TcStats stats;
+    if (lanes == 0) {
+      ASSERT_OK(TransitiveClosure(edges, TcAlgorithm::kSemiNaive, &stats,
+                                  nullptr, &metrics)
+                    .status());
+    } else {
+      ASSERT_OK(
+          ColumnarTransitiveClosure(edges, lanes, &metrics, nullptr, &stats)
+              .status());
+    }
+    const obs::MetricsSnapshot snap = metrics.Snapshot();
+    auto counter = [&snap](const char* name) {
+      auto it = snap.counters.find(name);
+      return it == snap.counters.end() ? ~uint64_t{0} : it->second;
+    };
+    ASSERT_GT(stats.rounds, 0u);
+    EXPECT_EQ(counter("tc.invocations"), 1u) << lanes;
+    EXPECT_EQ(counter("tc.rounds"), stats.rounds) << lanes;
+    EXPECT_EQ(counter("tc.pair_visits"), stats.pair_visits) << lanes;
+  }
+}
+
 TEST(TcTest, WrongArityRejected) {
   Relation r(3);
   EXPECT_EQ(TransitiveClosure(r, TcAlgorithm::kNaive).status().code(),
