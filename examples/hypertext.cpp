@@ -5,7 +5,8 @@
 // queries [CM89] describes: reachability between pages, pages co-authored
 // along a link path, unreachable pages, and an RPQ evaluated directly on
 // the graph with qualifying edges highlighted in DOT — the prototype's
-// answer-display mode.
+// answer-display mode. It ends by querying a current and a historical
+// version of a web held in the transactional Server, the HAM's stand-in.
 //
 // Build & run:  ./build/examples/hypertext [num_pages]
 
@@ -14,8 +15,8 @@
 
 #include "graph/data_graph.h"
 #include "graphlog/api.h"
-#include "ham/ham.h"
 #include "rpq/rpq_eval.h"
+#include "server/server.h"
 #include "storage/database.h"
 #include "workload/generators.h"
 
@@ -93,37 +94,37 @@ int main(int argc, char** argv) {
   std::string d = ToDot(g, db.symbols(), dot);
   std::printf("%.600s...\n", d.c_str());
 
-  // --- The full Section 5 stack: HAM -> export -> GraphLog. ---------------
-  // Build a small versioned web inside the transaction-based store, edit
-  // it, then query both the current and a historical version.
-  ham::Ham store;
+  // --- The full Section 5 stack: a transactional server -> GraphLog. ------
+  // Commit a small web as version 1, pin a session there, retire the API
+  // page in version 2, then query both the pinned and a fresh session.
+  // The server is declared first: sessions must not outlive it.
+  Server server;
   auto ck = [](const Status& s) {
     if (!s.ok()) {
-      std::fprintf(stderr, "ham: %s\n", s.ToString().c_str());
+      std::fprintf(stderr, "server: %s\n", s.ToString().c_str());
       std::exit(1);
     }
   };
-  ck(store.Begin());
-  auto home = *store.CreateNode("home");
-  auto docs = *store.CreateNode("docs");
-  auto api = *store.CreateNode("api");
-  ck(store.CreateLink(home, docs, "link").status());
-  ck(store.CreateLink(docs, api, "link").status());
-  ck(store.Commit().status());  // version 1
-  ck(store.Begin());
-  ck(store.Destroy(api));  // the API page is retired in version 2
-  ck(store.Commit().status());
-
-  storage::Database now_db, then_db;
-  ck(store.Export(&now_db));
-  ck(store.Export(&then_db, ham::Version{1}));
+  ck(server.Apply(WriteBatch().Facts("node(home).\nnode(docs).\nnode(api).\n"
+                                     "link(home, docs).\nlink(docs, api).\n"))
+         .status());  // version 1
+  auto then = server.OpenSession();
+  ck(then.status());
+  ck(server.Apply(WriteBatch()
+                      .Clear("link")
+                      .Clear("node")
+                      .Facts("node(home).\nnode(docs).\nlink(home, docs).\n"))
+         .status());  // the API page is retired in version 2
+  auto now = server.OpenSession();
+  ck(now.status());
   const char* reach_q =
       "query reach { edge X -> Y : link+; distinguished X -> Y : reach; }";
-  ck(graphlog::Run(QueryRequest::GraphLog(reach_q), &now_db).status());
-  ck(graphlog::Run(QueryRequest::GraphLog(reach_q), &then_db).status());
+  ck((*now)->Run(QueryRequest::GraphLog(reach_q)).status());
+  ck((*then)->Run(QueryRequest::GraphLog(reach_q)).status());
   std::printf(
-      "\nHAM-backed store: reach pairs now=%zu, at version 1=%zu "
+      "\nserver-backed store: reach pairs now=%zu, at version 1=%zu "
       "(the retired api page is only reachable in history)\n",
-      now_db.Find("reach")->size(), then_db.Find("reach")->size());
+      (*now)->database().Find("reach")->size(),
+      (*then)->database().Find("reach")->size());
   return 0;
 }

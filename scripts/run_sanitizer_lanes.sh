@@ -48,14 +48,18 @@
 # and updates instruments from many threads at once — a TSan workload by
 # construction.
 #
+# The examples label runs the five non-interactive examples end to end:
+# hypertext's Section 5 stanza commits, pins and queries Server sessions,
+# and every example drives the full query pipeline on generated data.
+#
 # Usage: scripts/run_sanitizer_lanes.sh [LABEL] [BUILD_ROOT]
-# Defaults: LABEL = 'robustness|cache|profile|durability|net|kernels|shell|obs'
+# Defaults: LABEL = 'robustness|cache|profile|durability|net|kernels|shell|obs|examples'
 # (a ctest -L regex), BUILD_ROOT = build-san (creates
 # ${BUILD_ROOT}-thread and ${BUILD_ROOT}-address).
 
 set -euo pipefail
 
-LABEL="${1:-robustness|cache|profile|durability|net|kernels|shell|obs}"
+LABEL="${1:-robustness|cache|profile|durability|net|kernels|shell|obs|examples}"
 BUILD_ROOT="${2:-build-san}"
 SRC_DIR="$(cd "$(dirname "$0")/.." && pwd)"
 JOBS="$(nproc 2>/dev/null || echo 4)"

@@ -44,7 +44,8 @@ bool Better(AggKind across, double a, double b) {
 }  // namespace
 
 Result<Relation> PathSummarize(const Relation& base,
-                               const PathSummaryOptions& options) {
+                               const PathSummaryOptions& options,
+                               const gov::GovernorContext* governor) {
   if (options.across != AggKind::kMin && options.across != AggKind::kMax) {
     return Status::Unsupported("across-path aggregate must be min or max");
   }
@@ -93,7 +94,9 @@ Result<Relation> PathSummarize(const Relation& base,
   Relation result(3);
   std::vector<double> dist(n);
   std::vector<bool> has(n);
+  uint64_t relaxations = 0;
   for (uint32_t s = 0; s < n; ++s) {
+    GRAPHLOG_RETURN_NOT_OK(gov::CheckPoint(governor, "aggr.relax"));
     std::fill(has.begin(), has.end(), false);
     // Single-edge paths out of s.
     for (const WeightedEdge& e : out_edges[s]) {
@@ -113,6 +116,9 @@ Result<Relation> PathSummarize(const Relation& base,
       for (uint32_t u = 0; u < n; ++u) {
         if (!has[u]) continue;
         for (const WeightedEdge& e : out_edges[u]) {
+          if (governor != nullptr && (++relaxations & 1023u) == 0) {
+            GRAPHLOG_RETURN_NOT_OK(governor->CheckInterrupts("aggr.relax"));
+          }
           double v = Extend(options.along, dist[u], e.w);
           if (!has[e.to] || Better(options.across, v, dist[e.to])) {
             dist[e.to] = v;

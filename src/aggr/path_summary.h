@@ -19,12 +19,17 @@
 // the objective (a negative cycle under across=min, any reachable cycle
 // with improving weight under across=max) makes the query unbounded and is
 // reported as kCycleInPath — the scheduling use case expects a DAG.
+//
+// Governance: a full governor check at the `aggr.relax` point before each
+// source, and a cancellation/deadline check every 1,024 relaxations, so a
+// cancelled or timed-out summary stops mid-source and returns no rows.
 
 #ifndef GRAPHLOG_AGGR_PATH_SUMMARY_H_
 #define GRAPHLOG_AGGR_PATH_SUMMARY_H_
 
 #include "common/result.h"
 #include "datalog/ast.h"
+#include "gov/governor.h"
 #include "storage/relation.h"
 
 namespace graphlog::aggr {
@@ -44,8 +49,9 @@ struct PathSummaryOptions {
 /// Returns a ternary relation (u, v, value) with one row per ordered pair
 /// of distinct-or-equal nodes connected by a non-empty path. Weight values
 /// are int or double; the result is double when any weight is double.
-Result<storage::Relation> PathSummarize(const storage::Relation& base,
-                                        const PathSummaryOptions& options);
+Result<storage::Relation> PathSummarize(
+    const storage::Relation& base, const PathSummaryOptions& options,
+    const gov::GovernorContext* governor = nullptr);
 
 }  // namespace graphlog::aggr
 

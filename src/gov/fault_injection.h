@@ -16,6 +16,8 @@
 //                  batches)
 //   tc.expand    — per fixpoint round / per source of the TC kernels
 //   rpq.step     — periodically inside the product-automaton search
+//   aggr.relax   — per source of Section 4 path summarization
+//                  (aggr/path_summary.cc)
 //   io.load      — before a fact file's parsed tuples are applied
 //   csr.build    — before a CSR snapshot is built from a relation
 //                  (columnar/csr.cc; engine batches and the columnar TC)

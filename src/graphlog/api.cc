@@ -88,6 +88,7 @@ Result<std::vector<int>> TopoOrderGraphs(const GraphicalQuery& q) {
 
 /// Evaluates a summarization graph (Section 4).
 Status RunSummaryGraph(const QueryGraph& g, Database* db,
+                       const gov::GovernorContext* governor,
                        QueryStats* stats) {
   const PathSummarySpec& spec = *g.summary;
   const SymbolTable& syms = db->symbols();
@@ -159,7 +160,7 @@ Status RunSummaryGraph(const QueryGraph& g, Database* db,
   options.across = spec.across;
   options.weight_column = weight_col;
   GRAPHLOG_ASSIGN_OR_RETURN(Relation summary,
-                            aggr::PathSummarize(*effective, options));
+                            aggr::PathSummarize(*effective, options, governor));
 
   // Materialize under the distinguished predicate, honoring constant
   // endpoints (e.g. `distinguished "source" -> T : dist(E)`).
@@ -332,7 +333,7 @@ Status RunGraphLog(const QueryRequest& req, const QueryOptions& options,
   for (int i : order) {
     // Between graphs: a cheap cancellation/deadline check so a
     // multi-graph query cannot outlive its governor in the gaps the
-    // engine does not cover (translation, planning, summarization).
+    // engine and the summarizer do not cover (translation, planning).
     if (execute && options.eval.governor != nullptr) {
       GRAPHLOG_RETURN_NOT_OK(
           options.eval.governor->CheckInterrupts("query.graph"));
@@ -351,7 +352,8 @@ Status RunGraphLog(const QueryRequest& req, const QueryOptions& options,
       if (!execute) continue;
       obs::SpanGuard span(tracer, "summarize");
       span.AddNote("graph", head);
-      GRAPHLOG_RETURN_NOT_OK(RunSummaryGraph(g, db, &stats));
+      GRAPHLOG_RETURN_NOT_OK(
+          RunSummaryGraph(g, db, options.eval.governor, &stats));
       continue;
     }
     GRAPHLOG_ASSIGN_OR_RETURN(datalog::Program prog,

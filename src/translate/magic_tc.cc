@@ -59,7 +59,7 @@ std::string SeedName(const Seed& seed, const SymbolTable& syms) {
 
 Result<Program> SpecializeBoundClosures(
     const Program& prog, SymbolTable* syms,
-    const std::set<Symbol>& protected_predicates, MagicTcStats* stats) {
+    const std::set<Symbol>& protected_predicates) {
   // 1. Identify TC-shaped predicates and their shapes.
   std::map<Symbol, TcShape> shapes;
   for (Symbol p : prog.HeadPredicates()) {
@@ -132,7 +132,6 @@ Result<Program> SpecializeBoundClosures(
     if (it != seed_preds.end()) return it->second;
     Symbol s = syms->Fresh(SeedName(seed, *syms));
     seed_preds.emplace(seed, s);
-    if (stats != nullptr) ++stats->closures_specialized;
     return s;
   };
 
@@ -140,7 +139,6 @@ Result<Program> SpecializeBoundClosures(
     // Drop the TC rule pair of fully specialized, unprotected closures.
     if (fully_specialized.count(r.head.predicate) > 0 &&
         protected_predicates.count(r.head.predicate) == 0) {
-      if (stats != nullptr) ++stats->rules_dropped;
       continue;
     }
     Rule nr;
@@ -164,7 +162,6 @@ Result<Program> SpecializeBoundClosures(
         a.args.push_back(l.atom.args[i]);
       }
       nr.body.push_back(Literal::Positive(std::move(a)));
-      if (stats != nullptr) ++stats->uses_rewritten;
     }
     out.Add(std::move(nr));
   }

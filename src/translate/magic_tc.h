@@ -30,20 +30,12 @@
 
 namespace graphlog::translate {
 
-/// \brief Statistics of one specialization pass.
-struct MagicTcStats {
-  int closures_specialized = 0;  ///< distinct (predicate, seed) rewrites
-  int uses_rewritten = 0;
-  int rules_dropped = 0;
-};
-
 /// \brief Applies the rewrite to `prog`. `protected_predicates` (e.g. the
 /// distinguished predicates of a query) are never removed even when all
 /// their uses were specialized.
 Result<datalog::Program> SpecializeBoundClosures(
     const datalog::Program& prog, SymbolTable* syms,
-    const std::set<Symbol>& protected_predicates = {},
-    MagicTcStats* stats = nullptr);
+    const std::set<Symbol>& protected_predicates = {});
 
 }  // namespace graphlog::translate
 

@@ -1,6 +1,7 @@
 #include "workload/generators.h"
 
 #include <algorithm>
+#include <initializer_list>
 #include <set>
 #include <string>
 #include <vector>
@@ -18,6 +19,25 @@ std::string N(const char* prefix, int i) {
 
 Value Sym(Database* db, const std::string& s) {
   return Value::Sym(db->Intern(s));
+}
+
+/// InvalidArgument when `count` is below `min`: no count may be negative
+/// (num_tasks sizes a vector), and a zero one must not divide or bound
+/// uniform_int_distribution(0, count - 1).
+Status CheckCount(const char* name, int count, int min) {
+  if (count >= min) return Status::OK();
+  return Status::InvalidArgument(std::string(name) + " must be at least " +
+                                 std::to_string(min) + ", got " +
+                                 std::to_string(count));
+}
+
+/// Declares every binary relation in `names`, so a generator's schema
+/// exists even when a small input emits no facts for some of it.
+Status DeclareBinary(Database* db, std::initializer_list<const char*> names) {
+  for (const char* name : names) {
+    GRAPHLOG_RETURN_NOT_OK(db->Declare(name, 2).status());
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -203,6 +223,11 @@ Status Family(const FamilyOptions& options, Database* db) {
 }
 
 Status Modules(const ModulesOptions& options, Database* db) {
+  GRAPHLOG_RETURN_NOT_OK(CheckCount("num_modules", options.num_modules, 0));
+  GRAPHLOG_RETURN_NOT_OK(CheckCount("functions_per_module",
+                                    options.functions_per_module, 1));
+  GRAPHLOG_RETURN_NOT_OK(
+      CheckCount("num_libraries", options.num_libraries, 1));
   std::mt19937_64 rng(options.seed);
   std::bernoulli_distribution local(options.local_call_prob);
   std::bernoulli_distribution extn(options.extern_call_prob);
@@ -234,10 +259,13 @@ Status Modules(const ModulesOptions& options, Database* db) {
       }
     }
   }
-  return Status::OK();
+  return DeclareBinary(
+      db, {"in-module", "in-library", "calls-local", "calls-extn"});
 }
 
 Status Tasks(const TasksOptions& options, Database* db) {
+  GRAPHLOG_RETURN_NOT_OK(CheckCount("num_tasks", options.num_tasks, 1));
+  GRAPHLOG_RETURN_NOT_OK(CheckCount("max_duration", options.max_duration, 1));
   std::mt19937_64 rng(options.seed);
   std::bernoulli_distribution edge(options.edge_prob);
   std::uniform_int_distribution<int> dur(1, options.max_duration);
@@ -270,6 +298,8 @@ Status Tasks(const TasksOptions& options, Database* db) {
 }
 
 Status Hypertext(const HypertextOptions& options, Database* db) {
+  GRAPHLOG_RETURN_NOT_OK(CheckCount("num_pages", options.num_pages, 0));
+  GRAPHLOG_RETURN_NOT_OK(CheckCount("num_authors", options.num_authors, 1));
   std::mt19937_64 rng(options.seed);
   std::bernoulli_distribution link(options.link_prob);
   std::uniform_int_distribution<int> author(0, options.num_authors - 1);
@@ -291,7 +321,7 @@ Status Hypertext(const HypertextOptions& options, Database* db) {
       }
     }
   }
-  return Status::OK();
+  return DeclareBinary(db, {"author", "title-word", "link"});
 }
 
 }  // namespace graphlog::workload

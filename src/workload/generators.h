@@ -100,7 +100,9 @@ struct ModulesOptions {
 };
 
 /// \brief Emits in-module(f,m), calls-local(f1,f2), calls-extn(f1,f2),
-/// in-library(f,l) — the Figure 6 schema.
+/// in-library(f,l) — the Figure 6 schema, every relation declared even
+/// when empty. InvalidArgument on a negative num_modules or a
+/// functions_per_module or num_libraries below 1.
 Status Modules(const ModulesOptions& options, storage::Database* db);
 
 // ---------------------------------------------------------------------------
@@ -116,7 +118,8 @@ struct TasksOptions {
 
 /// \brief Emits affects(t1,t2) (a DAG), duration(t,d),
 /// scheduled-start(t,s) (consistent with the DAG), and delay(t,ds) for one
-/// randomly chosen delayed task.
+/// randomly chosen delayed task. InvalidArgument on a num_tasks or
+/// max_duration below 1.
 Status Tasks(const TasksOptions& options, storage::Database* db);
 
 // ---------------------------------------------------------------------------
@@ -131,7 +134,8 @@ struct HypertextOptions {
 };
 
 /// \brief Emits link(p1,p2), author(p,a), title-word(p,w) — a small
-/// hypertext abstract machine image.
+/// hypertext abstract machine image, every relation declared even when
+/// empty. InvalidArgument on a negative num_pages or a num_authors below 1.
 Status Hypertext(const HypertextOptions& options, storage::Database* db);
 
 }  // namespace graphlog::workload

@@ -634,6 +634,65 @@ TEST(IoGovernorTest, LoadFaultAppliesNothing) {
 // ---------------------------------------------------------------------------
 // API layer: taxonomy counters and slow-log capture.
 
+TEST(ApiGovernorTest, SummarizationHonoursDeadlineAndCancellation) {
+  // Section 4 path summarization through the public front door. An
+  // already-expired or already-cancelled governor trips before the graph
+  // runs; one that trips while a source is being summarized (held there
+  // by an aggr.relax stall) stops the summary instead of returning it.
+  Database db;
+  ASSERT_OK(storage::LoadFacts("w(a, b, 2).\nw(b, c, 3).\nw(a, c, 1).\n",
+                               &db)
+                .status());
+  auto run_governed = [&](gov::GovernorContext* g) {
+    QueryRequest req = QueryRequest::GraphLog(
+        "query es {\n"
+        "  summarize E = max<sum<D>> over w(D);\n"
+        "  distinguished T1 -> T2 : es(E);\n"
+        "}\n");
+    req.options.eval.governor = g;
+    return graphlog::Run(req, &db).status();
+  };
+
+  gov::GovernorContext late;
+  late.deadline = gov::Deadline::AfterNanos(0);
+  EXPECT_EQ(run_governed(&late).code(), StatusCode::kDeadlineExceeded);
+
+  gov::GovernorContext cancelled;
+  cancelled.token.Cancel();
+  EXPECT_EQ(run_governed(&cancelled).code(), StatusCode::kCancelled);
+
+  // The deadline expires during a 200 ms stall at the first source.
+  gov::FaultInjector faults;
+  gov::FaultSpec stall;
+  stall.action = gov::FaultAction::kStall;
+  stall.stall_ms = 200;
+  faults.Arm("aggr.relax", stall);
+  gov::GovernorContext expiring;
+  expiring.faults = &faults;
+  expiring.deadline = gov::Deadline::AfterMillis(50);
+  EXPECT_EQ(run_governed(&expiring).code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(faults.hits("aggr.relax"), 1u);
+
+  // A cancel from another thread wakes a 10 s stall at the first source.
+  stall.stall_ms = 10'000;
+  faults.Arm("aggr.relax", stall);
+  gov::GovernorContext cancelling;
+  cancelling.faults = &faults;
+  std::thread canceller([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    cancelling.token.Cancel();
+  });
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(run_governed(&cancelling).code(), StatusCode::kCancelled);
+  canceller.join();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+
+  gov::GovernorContext open;
+  ASSERT_OK(run_governed(&open));
+  EXPECT_EQ(RelationSet(db, "es"),
+            (std::set<std::string>{"a,b,2", "a,c,5", "b,c,3"}));
+}
+
 TEST(ApiGovernorTest, TaxonomyCountersAndSlowLogCapture) {
   obs::MetricsRegistry metrics;
   obs::SlowQueryLog slowlog;

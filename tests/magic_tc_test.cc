@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <string>
+
 #include "datalog/analysis.h"
 #include "datalog/parser.h"
 #include "eval/engine.h"
@@ -26,6 +30,32 @@ Program Parse(const char* text, SymbolTable* syms) {
   return std::move(r).ValueOrDie();
 }
 
+using Heads = std::map<std::string, int>;
+
+/// Rule count per head predicate: the seeded predicates a rewrite
+/// declares, and which closure rules it kept.
+Heads RulesPerHead(const Program& prog, const SymbolTable& syms) {
+  Heads heads;
+  for (const datalog::Rule& r : prog.rules) {
+    ++heads[syms.name(r.head.predicate)];
+  }
+  return heads;
+}
+
+/// The predicates the body literals of `head`'s rules use.
+std::set<std::string> BodyPredicates(const Program& prog,
+                                     const SymbolTable& syms,
+                                     const std::string& head) {
+  std::set<std::string> used;
+  for (const datalog::Rule& r : prog.rules) {
+    if (syms.name(r.head.predicate) != head) continue;
+    for (const datalog::Literal& l : r.body) {
+      if (l.is_relational()) used.insert(syms.name(l.atom.predicate));
+    }
+  }
+  return used;
+}
+
 TEST(MagicTcTest, ForwardSeedRewrite) {
   SymbolTable syms;
   Program p = Parse(
@@ -33,12 +63,12 @@ TEST(MagicTcTest, ForwardSeedRewrite) {
       "tc(X, Y) :- e(X, Z), tc(Z, Y).\n"
       "answer(Y) :- tc(rome, Y).\n",
       &syms);
-  MagicTcStats stats;
-  ASSERT_OK_AND_ASSIGN(Program out,
-                       SpecializeBoundClosures(p, &syms, {}, &stats));
-  EXPECT_EQ(stats.closures_specialized, 1);
-  EXPECT_EQ(stats.uses_rewritten, 1);
-  EXPECT_EQ(stats.rules_dropped, 2);  // tc's TC pair removed
+  ASSERT_OK_AND_ASSIGN(Program out, SpecializeBoundClosures(p, &syms));
+  // One seeded predicate replaces tc's TC pair; the one use reads it.
+  EXPECT_EQ(RulesPerHead(out, syms), (Heads{{"answer", 1},
+                                            {"tc-from-rome", 2}}));
+  EXPECT_EQ(BodyPredicates(out, syms, "answer"),
+            std::set<std::string>{"tc-from-rome"});
   std::string text = out.ToString(syms);
   EXPECT_NE(text.find("tc-from-rome"), std::string::npos);
   // No rule defines or uses the original tc anymore.
@@ -65,10 +95,9 @@ TEST(MagicTcTest, UnboundUseBlocksSpecialization) {
       "answer(Y) :- tc(rome, Y).\n"
       "all(X, Y) :- tc(X, Y).\n",
       &syms);
-  MagicTcStats stats;
-  ASSERT_OK_AND_ASSIGN(Program out,
-                       SpecializeBoundClosures(p, &syms, {}, &stats));
-  EXPECT_EQ(stats.closures_specialized, 0);
+  ASSERT_OK_AND_ASSIGN(Program out, SpecializeBoundClosures(p, &syms));
+  EXPECT_EQ(RulesPerHead(out, syms),
+            (Heads{{"all", 1}, {"answer", 1}, {"tc", 2}}));
   EXPECT_EQ(out.ToString(syms), p.ToString(syms));
 }
 
@@ -80,11 +109,12 @@ TEST(MagicTcTest, ProtectedPredicateKeepsRules) {
       "answer(Y) :- tc(rome, Y).\n",
       &syms);
   Symbol tc = syms.Lookup("tc");
-  MagicTcStats stats;
-  ASSERT_OK_AND_ASSIGN(Program out,
-                       SpecializeBoundClosures(p, &syms, {tc}, &stats));
-  EXPECT_EQ(stats.rules_dropped, 0);
-  EXPECT_EQ(stats.uses_rewritten, 1);
+  ASSERT_OK_AND_ASSIGN(Program out, SpecializeBoundClosures(p, &syms, {tc}));
+  // tc keeps its TC pair, but its one use still reads the seeded form.
+  EXPECT_EQ(RulesPerHead(out, syms),
+            (Heads{{"answer", 1}, {"tc", 2}, {"tc-from-rome", 2}}));
+  EXPECT_EQ(BodyPredicates(out, syms, "answer"),
+            std::set<std::string>{"tc-from-rome"});
 }
 
 TEST(MagicTcTest, PreservesSemantics) {
@@ -112,10 +142,9 @@ TEST(MagicTcTest, ParameterizedClosure) {
       "tc(X, Y, W) :- e1(X, Z, W), tc(Z, Y, W).\n"
       "answer(Y, W) :- tc(d0, Y, W).\n";
   Program p = Parse(prog, &syms);
-  MagicTcStats stats;
-  ASSERT_OK_AND_ASSIGN(Program out,
-                       SpecializeBoundClosures(p, &syms, {}, &stats));
-  EXPECT_EQ(stats.closures_specialized, 1);
+  ASSERT_OK_AND_ASSIGN(Program out, SpecializeBoundClosures(p, &syms));
+  EXPECT_EQ(RulesPerHead(out, syms),
+            (Heads{{"answer", 1}, {"tc-from-d0", 2}}));
   // e1 here is ternary (edge + parameter).
   testing::EquivalenceOptions opts;
   opts.trials = 8;
@@ -134,10 +163,9 @@ TEST(MagicTcTest, DistinctConstantsGetDistinctSeeds) {
       "a(Y) :- tc(u, Y).\n"
       "b(Y) :- tc(v, Y).\n",
       &syms);
-  MagicTcStats stats;
-  ASSERT_OK_AND_ASSIGN(Program out,
-                       SpecializeBoundClosures(p, &syms, {}, &stats));
-  EXPECT_EQ(stats.closures_specialized, 2);
+  ASSERT_OK_AND_ASSIGN(Program out, SpecializeBoundClosures(p, &syms));
+  EXPECT_EQ(RulesPerHead(out, syms),
+            (Heads{{"a", 1}, {"b", 1}, {"tc-from-u", 2}, {"tc-from-v", 2}}));
   std::string text = out.ToString(syms);
   EXPECT_NE(text.find("tc-from-u"), std::string::npos);
   EXPECT_NE(text.find("tc-from-v"), std::string::npos);
@@ -150,10 +178,9 @@ TEST(MagicTcTest, NegatedUseDisqualifies) {
       "tc(X, Y) :- e(X, Z), tc(Z, Y).\n"
       "a(X) :- node(X), !tc(u, X).\n",
       &syms);
-  MagicTcStats stats;
-  ASSERT_OK_AND_ASSIGN(Program out,
-                       SpecializeBoundClosures(p, &syms, {}, &stats));
-  EXPECT_EQ(stats.closures_specialized, 0);
+  ASSERT_OK_AND_ASSIGN(Program out, SpecializeBoundClosures(p, &syms));
+  EXPECT_EQ(RulesPerHead(out, syms), (Heads{{"a", 1}, {"tc", 2}}));
+  EXPECT_EQ(out.ToString(syms), p.ToString(syms));
 }
 
 TEST(MagicTcTest, EndToEndThroughGraphLogEngine) {

@@ -125,6 +125,19 @@ TEST(ServerTest, RollbackDiscardsInBatchInsertsBeforeClear) {
   EXPECT_EQ(RelationSet(server.database(), "edge"), before);
   EXPECT_EQ(server.database().Find("edge")->data_generation(), stamp);
   EXPECT_EQ(server.epoch(), 1u);
+
+  // Without the failing op the batch commits, and rows inserted then
+  // cleared in one batch leave nothing, in an old or a new relation.
+  ASSERT_OK(server.Apply(WriteBatch()
+                             .Insert("edge", {"e", "f"})
+                             .Clear("edge")
+                             .Insert("page", {"home"})
+                             .Clear("page"))
+                .status());
+  EXPECT_EQ(server.epoch(), 2u);
+  ASSERT_OK_AND_ASSIGN(auto fresh, server.OpenSession());
+  EXPECT_EQ(testutil::RelationSize(fresh->database(), "edge"), 0u);
+  EXPECT_EQ(testutil::RelationSize(fresh->database(), "page"), 0u);
 }
 
 TEST(ServerTest, SnapshotRetainsUntouchedVersions) {

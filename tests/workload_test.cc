@@ -117,6 +117,19 @@ TEST(GeneratorsTest, ModulesSchema) {
                                 opts.functions_per_module));
   EXPECT_GT(RelationSize(db, "calls-local"), 0u);
   EXPECT_GT(RelationSize(db, "calls-extn"), 0u);
+
+  // Too few modules to emit every relation: the schema is declared
+  // anyway, empty where no fact was drawn.
+  for (int modules : {0, 1}) {
+    Database small;
+    opts.num_modules = modules;
+    ASSERT_OK(Modules(opts, &small));
+    for (const char* r :
+         {"in-module", "in-library", "calls-local", "calls-extn"}) {
+      EXPECT_NE(small.Find(r), nullptr) << modules << " modules: " << r;
+    }
+    EXPECT_EQ(RelationSize(small, "calls-extn"), 0u);
+  }
 }
 
 TEST(GeneratorsTest, TasksFormDagWithConsistentStarts) {
@@ -147,6 +160,63 @@ TEST(GeneratorsTest, HypertextSchema) {
   EXPECT_EQ(RelationSize(db, "title-word"),
             static_cast<size_t>(opts.num_pages));
   EXPECT_GT(RelationSize(db, "link"), 0u);
+
+  // One page can link nowhere: `link` is declared anyway, empty.
+  Database one;
+  opts.num_pages = 1;
+  ASSERT_OK(Hypertext(opts, &one));
+  EXPECT_EQ(RelationSize(one, "author"), 1u);
+  ASSERT_NE(one.Find("link"), nullptr);
+  EXPECT_EQ(one.Find("link")->size(), 0u);
+}
+
+TEST(GeneratorsTest, BadSizesAreInvalidArgument) {
+  // Negative counts, and zero counts that would divide or bound an empty
+  // uniform_int_distribution, are refused before any fact is emitted.
+  auto modules = [](void (*set)(ModulesOptions*)) {
+    ModulesOptions o;
+    set(&o);
+    Database db;
+    return Modules(o, &db).code();
+  };
+  EXPECT_EQ(modules([](ModulesOptions* o) { o->num_modules = -3; }),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(modules([](ModulesOptions* o) { o->functions_per_module = 0; }),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(modules([](ModulesOptions* o) { o->functions_per_module = -1; }),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(modules([](ModulesOptions* o) { o->num_libraries = 0; }),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(modules([](ModulesOptions* o) { o->num_libraries = -1; }),
+            StatusCode::kInvalidArgument);
+
+  auto tasks = [](void (*set)(TasksOptions*)) {
+    TasksOptions o;
+    set(&o);
+    Database db;
+    return Tasks(o, &db).code();
+  };
+  EXPECT_EQ(tasks([](TasksOptions* o) { o->num_tasks = -3; }),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(tasks([](TasksOptions* o) { o->num_tasks = 0; }),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(tasks([](TasksOptions* o) { o->max_duration = 0; }),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(tasks([](TasksOptions* o) { o->max_duration = -1; }),
+            StatusCode::kInvalidArgument);
+
+  auto hypertext = [](void (*set)(HypertextOptions*)) {
+    HypertextOptions o;
+    set(&o);
+    Database db;
+    return Hypertext(o, &db).code();
+  };
+  EXPECT_EQ(hypertext([](HypertextOptions* o) { o->num_pages = -5; }),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(hypertext([](HypertextOptions* o) { o->num_authors = 0; }),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(hypertext([](HypertextOptions* o) { o->num_authors = -1; }),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace
