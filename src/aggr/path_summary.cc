@@ -41,6 +41,35 @@ bool Better(AggKind across, double a, double b) {
   return across == AggKind::kMin ? a < b : a > b;
 }
 
+/// The nodes in reverse DFS postorder: a topological order of an acyclic
+/// graph, and for any graph an order that sweeps mostly with the edges.
+std::vector<uint32_t> ReversePostorder(
+    const std::vector<std::vector<WeightedEdge>>& out_edges) {
+  const size_t n = out_edges.size();
+  std::vector<uint32_t> post;
+  post.reserve(n);
+  std::vector<bool> seen(n);
+  std::vector<std::pair<uint32_t, size_t>> stack;  // (node, next edge)
+  for (uint32_t root = 0; root < n; ++root) {
+    if (seen[root]) continue;
+    seen[root] = true;
+    stack.push_back({root, 0});
+    while (!stack.empty()) {
+      const uint32_t u = stack.back().first;
+      const size_t k = stack.back().second++;
+      if (k == out_edges[u].size()) {
+        post.push_back(u);
+        stack.pop_back();
+      } else if (const uint32_t v = out_edges[u][k].to; !seen[v]) {
+        seen[v] = true;
+        stack.push_back({v, 0});
+      }
+    }
+  }
+  std::reverse(post.begin(), post.end());
+  return post;
+}
+
 }  // namespace
 
 Result<Relation> PathSummarize(const Relation& base,
@@ -91,43 +120,50 @@ Result<Relation> PathSummarize(const Relation& base,
   bool unbounded_possible = options.along == AggKind::kSum ||
                             options.along == AggKind::kCount;
 
+  // Relaxation passes sweep the nodes in reverse DFS postorder, a
+  // topological order when the graph is acyclic, and relax only the nodes
+  // improved since they were last relaxed (`dirty`). A node improved from
+  // an earlier node is relaxed later in the same pass, one improved from a
+  // later node in the next pass. So a DAG settles in one pass that relaxes
+  // each reachable edge once, and a pass is at least one Bellman-Ford
+  // round: without an improving cycle every value is final after n - 1
+  // passes.
+  const std::vector<uint32_t> order = ReversePostorder(out_edges);
+
   Relation result(3);
   std::vector<double> dist(n);
-  std::vector<bool> has(n);
+  std::vector<bool> has(n), dirty(n);
   uint64_t relaxations = 0;
   for (uint32_t s = 0; s < n; ++s) {
     GRAPHLOG_RETURN_NOT_OK(gov::CheckPoint(governor, "aggr.relax"));
     std::fill(has.begin(), has.end(), false);
+    bool changed = false;
+    auto improve = [&](uint32_t v, double value) {
+      if (has[v] && !Better(options.across, value, dist[v])) return;
+      dist[v] = value;
+      has[v] = true;
+      dirty[v] = true;
+      changed = true;
+    };
     // Single-edge paths out of s.
     for (const WeightedEdge& e : out_edges[s]) {
-      double v = FirstStep(options.along, e.w);
-      if (!has[e.to] || Better(options.across, v, dist[e.to])) {
-        dist[e.to] = v;
-        has[e.to] = true;
-      }
+      improve(e.to, FirstStep(options.along, e.w));
     }
-    // Relax to fixpoint. For sum/count, improvement after n rounds means
-    // an improving cycle -> the objective is unbounded.
-    size_t round = 0;
-    bool changed = true;
-    while (changed) {
+    // Relax to fixpoint. For sum/count, an improvement in pass n + 1
+    // means an improving cycle -> the objective is unbounded.
+    for (size_t pass = 1; changed; ++pass) {
       changed = false;
-      ++round;
-      for (uint32_t u = 0; u < n; ++u) {
-        if (!has[u]) continue;
+      for (uint32_t u : order) {
+        if (!dirty[u]) continue;
+        dirty[u] = false;
         for (const WeightedEdge& e : out_edges[u]) {
           if (governor != nullptr && (++relaxations & 1023u) == 0) {
             GRAPHLOG_RETURN_NOT_OK(governor->CheckInterrupts("aggr.relax"));
           }
-          double v = Extend(options.along, dist[u], e.w);
-          if (!has[e.to] || Better(options.across, v, dist[e.to])) {
-            dist[e.to] = v;
-            has[e.to] = true;
-            changed = true;
-          }
+          improve(e.to, Extend(options.along, dist[u], e.w));
         }
       }
-      if (changed && unbounded_possible && round > n) {
+      if (changed && unbounded_possible && pass > n) {
         return Status::CycleInPath(
             "path summarization is unbounded: an improving cycle is "
             "reachable (the along=sum/count objective requires an acyclic "
@@ -139,7 +175,7 @@ Result<Relation> PathSummarize(const Relation& base,
       Value val = (any_double || options.along == AggKind::kAvg)
                       ? Value::Double(dist[v])
                       : Value::Int(static_cast<int64_t>(dist[v]));
-      result.Insert(Tuple{values[s], values[v], val});
+      result.AppendUnique(Tuple{values[s], values[v], val});
     }
   }
   return result;

@@ -13,12 +13,16 @@
 //   along  ∈ {sum, count, min, max}
 //   across ∈ {min, max}
 //
-// Implementation: per-source relaxation to fixpoint (Bellman-Ford style).
-// For bounded along-operators (min/max) the value lattice is finite and
-// relaxation always converges. For sum/count, a cycle that keeps improving
-// the objective (a negative cycle under across=min, any reachable cycle
-// with improving weight under across=max) makes the query unbounded and is
-// reported as kCycleInPath — the scheduling use case expects a DAG.
+// Implementation: per-source relaxation to fixpoint (Bellman-Ford style)
+// in passes over the nodes in reverse DFS postorder that relax only nodes
+// whose value improved, so a DAG settles in one pass that relaxes each
+// reachable edge once. For bounded
+// along-operators (min/max) the value lattice is finite and relaxation
+// always converges. For sum/count, a cycle that keeps improving the
+// objective (a negative cycle under across=min, any reachable cycle with
+// improving weight under across=max) makes the query unbounded: a value
+// still improving after n passes is reported as kCycleInPath — the
+// scheduling use case expects a DAG.
 //
 // Governance: a full governor check at the `aggr.relax` point before each
 // source, and a cancellation/deadline check every 1,024 relaxations, so a

@@ -48,10 +48,10 @@ class DependenceGraph {
   /// \brief True when the graph has no directed cycle.
   bool IsAcyclic() const;
 
-  /// \brief Strongly connected components in *reverse topological order* of
-  /// the condensation: every edge goes from an earlier-or-same component to
-  /// a later-or-same one... precisely, component i can only depend on
-  /// components j <= i. (Tarjan's order.)
+  /// \brief Strongly connected components in Tarjan's order: reverse
+  /// topological order of the condensation, so a component is listed
+  /// before every component it reads (edges run from later components to
+  /// earlier ones). Walk the list backwards for an evaluation order.
   std::vector<std::vector<Symbol>> StronglyConnectedComponents() const;
 
   /// \brief Component index of each predicate, aligned with

@@ -22,6 +22,7 @@
 #include "obs/profile.h"
 #include "obs/trace.h"
 #include "storage/tuple.h"
+#include "tc/columnar_tc.h"
 
 namespace graphlog::eval {
 
@@ -161,7 +162,7 @@ class Engine {
       const uint64_t rounds_before = stats_.iterations;
       stratum_ = static_cast<int64_t>(gi);
       prof_round_ = 0;
-      Status st = RunStratum(strat.rule_groups[gi]);
+      Status st = RunStratum(strat.rule_groups[gi], &span);
       if (st.ok() && !truncated_) {
         // Derivations of a stratum's final productive round are only seen
         // by the *next* round's boundary check; settle the run-wide
@@ -196,11 +197,30 @@ class Engine {
  private:
   const Relation* Resolve(Symbol pred) const { return db_->Find(pred); }
 
-  /// Runs one stratum's rules to fixpoint.
-  Status RunStratum(const std::vector<int>& rule_indices) {
-    // Compile this stratum's rules now: lower strata are materialized, so
-    // the cardinality oracle sees real sizes (and real column statistics)
-    // for everything below.
+  /// Runs one stratum: its groups in PlanStratum's order, each served
+  /// closure through the TC kernel and every other group to fixpoint.
+  Status RunStratum(const std::vector<int>& rule_indices,
+                    obs::SpanGuard* span) {
+    bool noted = false;
+    for (const StratumGroup& g :
+         PlanStratum(prog_, rule_indices, *db_, options_.strategy)) {
+      if (truncated_) break;
+      if (!g.served()) {
+        GRAPHLOG_RETURN_NOT_OK(RunGroup(g.rules));
+        continue;
+      }
+      if (!noted) span->AddNote("kernel", kTcKernelName);
+      noted = true;
+      GRAPHLOG_RETURN_NOT_OK(RunServedClosure(g));
+    }
+    return Status::OK();
+  }
+
+  /// Runs one group of a stratum's rules to fixpoint.
+  Status RunGroup(const std::vector<int>& rule_indices) {
+    // Compile the group's rules now: lower strata and earlier groups are
+    // materialized, so the cardinality oracle sees real sizes (and real
+    // column statistics) for everything below.
     CardinalityFn card;
     if (options_.cardinality_join_ordering) {
       card = MakeDbCardinality(db_);
@@ -242,7 +262,7 @@ class Engine {
       }
     }
 
-    // IDB predicates defined in this stratum.
+    // IDB predicates defined in this group.
     std::set<Symbol> local_idbs;
     for (int i : rule_indices) {
       local_idbs.insert(prog_.rules[i].head.predicate);
@@ -300,6 +320,216 @@ class Engine {
       return NaiveFixpoint(rec_rules);
     }
     return SemiNaiveFixpoint(rec_rules, local_idbs);
+  }
+
+  /// Serves one unbound binary TC pair p = q+ (PlanStratum) with one
+  /// tc::ColumnarTransitiveClosure call over the complete base q, on the
+  /// run's lanes and CSR cache. The call counts as one fixpoint round:
+  /// the round boundary, run budgets and rollback apply as to any round,
+  /// and the kernel gets the run's governor (cancellation, deadline,
+  /// `tc.expand` faults). The round reads no delta, so max_rounds and
+  /// max_delta_rows cannot stop it midway; max_result_rows and max_bytes
+  /// do, before the closure is materialized (ClosureRowCap). The kernel's
+  /// rows are bulk-loaded into the empty head in its order: source by
+  /// first appearance in q, then reached node by dense id.
+  Status RunServedClosure(const StratumGroup& g) {
+    GRAPHLOG_RETURN_NOT_OK(CheckRoundBoundary(0, 0));
+    if (truncated_) return Status::OK();
+    obs::SpanGuard span(options_.tracer, "round");
+    span.AddAttr("round", 0);
+    span.AddNote("kernel", kTcKernelName);
+    const uint64_t firings_before = stats_.rule_firings;
+    const uint64_t derived_before = stats_.tuples_derived;
+    const uint64_t t0 = options_.profile != nullptr ? obs::NowNs() : 0;
+    GRAPHLOG_RETURN_NOT_OK(TickIteration());
+    if (options_.tracer != nullptr) {
+      for (int i : g.rules) {
+        options_.tracer->AddNote("plan rule " + std::to_string(i),
+                                 std::string("served by ") + kTcKernelName);
+      }
+    }
+
+    const Relation* base = Resolve(g.tc_base);
+    Relation* head = db_->FindMutable(g.tc_head);
+    tc::TcStats ts;
+    if (base != nullptr && !base->empty()) {
+      const gov::GovernorContext* gvn = options_.governor;
+      gov::GovernorContext kernel_gov;
+      const ClosureRowCap cap = MakeClosureRowCap();
+      if (gvn != nullptr) {
+        kernel_gov = *gvn;
+        kernel_gov.budget = gov::ResourceBudget{};
+        kernel_gov.budget.return_partial = gvn->budget.return_partial;
+        // Every base row is a closure row, so a cap of 0 trips already.
+        if (cap.rows == 0) return TripClosureRowCap(cap);
+        if (cap.rows != ClosureRowCap::kNone) {
+          kernel_gov.budget.max_result_rows = cap.rows;
+        }
+      }
+      Result<Relation> closure = tc::ColumnarTransitiveClosure(
+          *base, pool_ != nullptr ? pool_->parallelism() : 1,
+          options_.metrics, gvn != nullptr ? &kernel_gov : nullptr, &ts,
+          csr_cache_, pool_.get());
+      if (closure.status().code() == StatusCode::kBudgetExceeded &&
+          cap.rows != ClosureRowCap::kNone) {
+        // Report the trip against the run's budget, not the remainder.
+        return TripClosureRowCap(cap);
+      }
+      GRAPHLOG_RETURN_NOT_OK(closure.status());
+      head->AdoptRows(*closure);
+      if (ts.truncated) GRAPHLOG_RETURN_NOT_OK(TripClosureRowCap(cap));
+    }
+    stats_.rule_firings += ts.pair_visits;
+    stats_.tuples_derived += head->size();
+    if (options_.provenance != nullptr && !head->empty()) {
+      GRAPHLOG_RETURN_NOT_OK(RecordServedProvenance(g, *base, *head));
+    }
+    if (options_.profile != nullptr) {
+      ProfileServedClosure(g, base, *head, ts.pair_visits,
+                           obs::NowNs() - t0);
+    }
+    span.AddAttr("firings",
+                 static_cast<int64_t>(stats_.rule_firings - firings_before));
+    span.AddAttr("derived",
+                 static_cast<int64_t>(stats_.tuples_derived - derived_before));
+    RecordRound(0, firings_before, derived_before);
+    // Like a stratum's last round, settle the run-wide budgets before
+    // the next group reads the closure.
+    return truncated_ ? Status::OK() : CheckRunBudgets("eval.round");
+  }
+
+  /// The rows a served closure may still add before a run budget trips:
+  /// max_result_rows less the rows derived so far, or the bytes max_bytes
+  /// leaves over the database at Relation::RowBytes(2) per row (a head
+  /// with built indexes costs more, which the run budgets settle after
+  /// the round), whichever is fewer.
+  struct ClosureRowCap {
+    static constexpr uint64_t kNone = UINT64_MAX;
+    uint64_t rows = kNone;
+    bool by_bytes = false;
+    uint64_t bytes_before = 0;  // database bytes when the cap was taken
+  };
+
+  ClosureRowCap MakeClosureRowCap() const {
+    ClosureRowCap cap;
+    if (options_.governor == nullptr) return cap;
+    const gov::ResourceBudget& b = options_.governor->budget;
+    if (b.max_result_rows != 0) {
+      cap.rows = b.max_result_rows - stats_.tuples_derived;
+    }
+    if (b.max_bytes != 0) {
+      cap.bytes_before = db_->TotalBytes();
+      const uint64_t left = b.max_bytes > cap.bytes_before
+                                ? b.max_bytes - cap.bytes_before
+                                : 0;
+      if (left / Relation::RowBytes(2) < cap.rows) {
+        cap.rows = left / Relation::RowBytes(2);
+        cap.by_bytes = true;
+      }
+    }
+    return cap;
+  }
+
+  /// Trips the budget behind `cap`, observed at the closure's first row
+  /// past it: the same figure at every lane count.
+  Status TripClosureRowCap(const ClosureRowCap& cap) {
+    const gov::ResourceBudget& b = options_.governor->budget;
+    if (cap.by_bytes) {
+      return TripBudget("max_bytes", "tc.expand",
+                        cap.bytes_before +
+                            (cap.rows + 1) * Relation::RowBytes(2),
+                        b.max_bytes);
+    }
+    return TripBudget("max_result_rows", "tc.expand", b.max_result_rows + 1,
+                      b.max_result_rows);
+  }
+
+  /// The served pair's rules: {base rule, recursive rule}.
+  std::pair<int, int> ServedRules(const StratumGroup& g) const {
+    const int a = g.rules[0], b = g.rules[1];
+    return prog_.rules[a].body.size() == 1 ? std::pair{a, b}
+                                           : std::pair{b, a};
+  }
+
+  /// Records a justification for every row of a served closure: a pair
+  /// at BFS depth 1 by the base rule from q(x, y), a deeper pair by the
+  /// recursive rule from q(x, z) and p(z, y), where z is the first hop of
+  /// the BFS path. dist(z, y) = dist(x, y) - 1, so the trees are
+  /// well-founded. (A closure truncated by return_partial may lack the
+  /// premise p(z, y): it can lie past the cut.)
+  Status RecordServedProvenance(const StratumGroup& g, const Relation& base,
+                                const Relation& head) {
+    const auto [base_rule, rec_rule] = ServedRules(g);
+    GRAPHLOG_ASSIGN_OR_RETURN(std::shared_ptr<const columnar::Csr> csr,
+                              csr_cache_->Get(base));
+    const uint32_t n = csr->num_nodes();
+    std::vector<uint32_t> depth(n, 0), first_hop(n, 0), queue;
+    queue.reserve(n);
+    int64_t source = -1;
+    for (const Tuple& row : head.rows()) {
+      const uint32_t x = static_cast<uint32_t>(csr->IdOf(row[0]));
+      if (x != source) {  // rows arrive grouped by source
+        for (uint32_t v : queue) depth[v] = 0;
+        queue.clear();
+        for (uint32_t v : csr->Sorted(x)) {
+          depth[v] = 1;
+          first_hop[v] = v;
+          queue.push_back(v);
+        }
+        for (size_t k = 0; k < queue.size(); ++k) {
+          const uint32_t u = queue[k];
+          for (uint32_t v : csr->Sorted(u)) {
+            if (depth[v] != 0) continue;
+            depth[v] = depth[u] + 1;
+            first_hop[v] = first_hop[u];
+            queue.push_back(v);
+          }
+        }
+        source = x;
+      }
+      const uint32_t y = static_cast<uint32_t>(csr->IdOf(row[1]));
+      Justification j;
+      if (depth[y] == 1) {
+        j.rule_index = base_rule;
+        j.premises.emplace_back(g.tc_base, row);
+      } else {
+        const Value& z = csr->values[first_hop[y]];
+        j.rule_index = rec_rule;
+        j.premises.emplace_back(g.tc_base, Tuple{row[0], z});
+        j.premises.emplace_back(g.tc_head, Tuple{z, row[1]});
+      }
+      options_.provenance->Record(g.tc_head, row, std::move(j));
+    }
+    return Status::OK();
+  }
+
+  /// Fills the served rules' profile entries: the base rule emitted the
+  /// closure rows that are q rows (BFS depth 1), the recursive rule the
+  /// rest; the kernel's pair visits beyond the emitted rows (a truncated
+  /// closure) count as the recursive rule's in-round duplicates.
+  void ProfileServedClosure(const StratumGroup& g, const Relation* base,
+                            const Relation& head, uint64_t pair_visits,
+                            uint64_t wall_ns) {
+    const auto [base_rule, rec_rule] = ServedRules(g);
+    uint64_t direct = 0;
+    for (const Tuple& row : head.rows()) {
+      if (base->Contains(row)) ++direct;
+    }
+    const std::string plan = std::string("served by ") + kTcKernelName;
+    for (int i : g.rules) {
+      obs::RuleProfile& rp = options_.profile->rules[i];
+      rp.rule = prog_.rules[i].ToString(db_->symbols());
+      rp.plan = plan;
+      rp.steps.clear();
+    }
+    obs::RuleProfile& b = options_.profile->rules[base_rule];
+    b.firings += direct;
+    b.rows_emitted += direct;
+    obs::RuleProfile& r = options_.profile->rules[rec_rule];
+    r.firings += pair_visits - direct;
+    r.rows_emitted += head.size() - direct;
+    r.dup_in_round += pair_visits - head.size();
+    r.wall_ns += wall_ns;
   }
 
   Status NaiveFixpoint(const std::vector<int>& rec_rules) {
@@ -1025,6 +1255,69 @@ class Engine {
 };
 
 }  // namespace
+
+std::vector<StratumGroup> PlanStratum(const Program& prog,
+                                      const std::vector<int>& rules,
+                                      const Database& db, Strategy strategy) {
+  // Heads of an unbound binary TC pair with an empty relation, with
+  // their base. The recursive rule reads its own head in a two-atom
+  // body, which keeps MatchTcRules off every other rule.
+  std::map<Symbol, Symbol> served;
+  if (strategy == Strategy::kSemiNaive) {
+    for (int i : rules) {
+      const Rule& r = prog.rules[i];
+      const Symbol p = r.head.predicate;
+      if (r.body.size() != 2 || served.count(p) > 0) continue;
+      const bool reads_head =
+          std::any_of(r.body.begin(), r.body.end(), [&](const auto& l) {
+            return l.is_relational() && l.atom.predicate == p;
+          });
+      if (!reads_head) continue;
+      Result<datalog::TcShape> shape = datalog::MatchTcRules(prog, p);
+      if (!shape.ok() || shape->n != 1 || shape->w != 0) continue;
+      const Relation* head = db.Find(p);
+      if (head != nullptr && !head->empty()) continue;
+      served.emplace(p, shape->base);
+    }
+  }
+  if (served.empty()) return {StratumGroup{rules}};
+
+  // StronglyConnectedComponents lists a component before the components
+  // it reads (Tarjan's order), so walk it backwards. A served head must
+  // be a component of its own: a base that reads the head back is not
+  // complete when the closure starts.
+  std::vector<StratumGroup> groups;
+  std::vector<int> pending;  // rules of consecutive unserved components
+  auto flush = [&] {
+    if (pending.empty()) return;
+    std::sort(pending.begin(), pending.end());
+    groups.push_back(StratumGroup{std::move(pending)});
+    pending.clear();
+  };
+  bool any_served = false;
+  const auto comps =
+      datalog::DependenceGraph::Build(prog).StronglyConnectedComponents();
+  for (auto c = comps.rbegin(); c != comps.rend(); ++c) {
+    std::vector<int> comp_rules;
+    for (int i : rules) {
+      if (std::find(c->begin(), c->end(), prog.rules[i].head.predicate) !=
+          c->end()) {
+        comp_rules.push_back(i);
+      }
+    }
+    auto it = c->size() == 1 ? served.find(c->front()) : served.end();
+    if (it == served.end()) {
+      pending.insert(pending.end(), comp_rules.begin(), comp_rules.end());
+      continue;
+    }
+    flush();
+    groups.push_back(StratumGroup{comp_rules, it->first, it->second});
+    any_served = true;
+  }
+  if (!any_served) return {StratumGroup{rules}};
+  flush();
+  return groups;
+}
 
 Result<EvalStats> Evaluate(const Program& prog, Database* db,
                            const EvalOptions& options) {

@@ -7,6 +7,13 @@
 // recursive subgoal reads the previous round's delta). Aggregate rules are
 // evaluated once per stratum — stratification guarantees their inputs are
 // complete.
+//
+// Section 6 of the paper asks implementations to reuse transitive-closure
+// algorithms for closure literals. λ-translation (Def. 2.4) turns each
+// closure literal into the rule pair p(X,Y) :- q(X,Y). p(X,Y) :- q(X,Z),
+// p(Z,Y). The semi-naive engine evaluates each stratum's components in
+// dependence order (PlanStratum) and serves every such pair with one
+// tc::ColumnarTransitiveClosure call over its already-complete base q.
 
 #ifndef GRAPHLOG_EVAL_ENGINE_H_
 #define GRAPHLOG_EVAL_ENGINE_H_
@@ -14,6 +21,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/result.h"
 #include "datalog/ast.h"
@@ -117,8 +125,11 @@ struct EvalOptions {
 
 /// \brief Counters reported by an evaluation.
 struct EvalStats {
-  uint64_t iterations = 0;      ///< total fixpoint rounds across strata
-  uint64_t rule_firings = 0;    ///< satisfying assignments enumerated
+  /// Total fixpoint rounds across strata; a served closure is one round.
+  uint64_t iterations = 0;
+  /// Satisfying assignments enumerated; a served closure adds the
+  /// kernel's pair visits (tc::TcStats::pair_visits).
+  uint64_t rule_firings = 0;
   uint64_t tuples_derived = 0;  ///< novel tuples inserted into IDBs
   uint64_t strata = 0;
   uint64_t index_builds = 0;    ///< full hash-index builds across relations
@@ -170,6 +181,37 @@ inline void EvalStats::Merge(const EvalStats& other) {
   truncated |= other.truncated;
   if (truncated_by.empty()) truncated_by = other.truncated_by;
 }
+
+/// \brief The kernel that serves closure components, as EXPLAIN, the
+/// profile and the trace name it.
+inline constexpr char kTcKernelName[] = "tc::ColumnarTransitiveClosure";
+
+/// \brief One evaluation unit of a stratum (see PlanStratum).
+struct StratumGroup {
+  /// Rule indices into the program, in program order.
+  std::vector<int> rules;
+  /// Set when the group is one unbound binary TC rule pair served by
+  /// tc::ColumnarTransitiveClosure: the closure head p and its base q.
+  Symbol tc_head = kNoSymbol;
+  Symbol tc_base = kNoSymbol;
+
+  bool served() const { return tc_head != kNoSymbol; }
+};
+
+/// \brief Splits the stratum `rules` of `prog` into evaluation groups.
+///
+/// A component of the stratum is served when it is one predicate p whose
+/// rules datalog::MatchTcRules recognizes with n=1, w=0, and p's relation
+/// in `db` is absent or empty (the fixpoint would extend existing rows).
+/// Served components are ordered by the dependence graph's strongly
+/// connected components (a deterministic topological order), and
+/// consecutive unserved components merge into one semi-naive group. A
+/// stratum with no served component — every stratum under
+/// Strategy::kNaive — is one group holding `rules` unchanged.
+std::vector<StratumGroup> PlanStratum(const datalog::Program& prog,
+                                      const std::vector<int>& rules,
+                                      const storage::Database& db,
+                                      Strategy strategy);
 
 /// \brief Evaluates `prog` against `db` (checking arity consistency,
 /// safety, and stratifiability first). IDB relations are created or

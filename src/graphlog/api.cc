@@ -168,10 +168,17 @@ Status RunSummaryGraph(const QueryGraph& g, Database* db,
       Relation * out, db->Declare(g.distinguished.predicate, 3));
   const Term& from_t = from.label[0];
   const Term& to_t = to.label[0];
-  for (const Tuple& t : summary.rows()) {
-    if (from_t.is_constant() && !(t[0] == from_t.value())) continue;
-    if (to_t.is_constant() && !(t[1] == to_t.value())) continue;
-    if (out->Insert(t)) ++stats->datalog.tuples_derived;
+  if (out->empty() && !from_t.is_constant() && !to_t.is_constant()) {
+    // A fresh head without endpoint filters takes the duplicate-free
+    // summary whole, in its order, without re-hashing it.
+    stats->datalog.tuples_derived += summary.size();
+    out->AdoptRows(summary);
+  } else {
+    for (const Tuple& t : summary.rows()) {
+      if (from_t.is_constant() && !(t[0] == from_t.value())) continue;
+      if (to_t.is_constant() && !(t[1] == to_t.value())) continue;
+      if (out->Insert(t)) ++stats->datalog.tuples_derived;
+    }
   }
   ++stats->graphs_summarized;
   return Status::OK();
@@ -179,18 +186,25 @@ Status RunSummaryGraph(const QueryGraph& g, Database* db,
 
 /// Renders one translated program for EXPLAIN: the rules (numbered in the
 /// provenance rule universe), the stratum order, and the join plan each
-/// rule would compile to against the *current* relation statistics. Rules
-/// in strata above the first plan against IDBs the run has not
-/// materialized yet — those lines are labeled "(pre-run)"; the
-/// per-stratum trace notes record the plans actually chosen at execution
-/// time, and EXPLAIN ANALYZE (observability.profile) reports the
-/// post-stratum actuals per atom.
+/// rule would compile to against the *current* relation statistics. A
+/// stratum with a closure served by the TC kernel (eval::PlanStratum)
+/// also lists its component order, and the served rules name the kernel
+/// instead of a join plan. Rules in strata above the first, or after a
+/// served component, plan against IDBs the run has not materialized yet
+/// — those lines are labeled "(pre-run)"; the per-stratum trace notes
+/// record the plans actually chosen at execution time, and EXPLAIN
+/// ANALYZE (observability.profile) reports the post-stratum actuals per
+/// atom.
 std::string RenderProgramExplain(const datalog::Program& prog,
-                                 size_t rule_offset, Database* db) {
+                                 size_t rule_offset, eval::Strategy strategy,
+                                 Database* db) {
   const SymbolTable& syms = db->symbols();
+  auto rule_id = [&](int i) {
+    return std::to_string(rule_offset + static_cast<size_t>(i));
+  };
   std::string out = "  program:\n";
   for (size_t i = 0; i < prog.rules.size(); ++i) {
-    out += "    [" + std::to_string(rule_offset + i) + "] " +
+    out += "    [" + rule_id(static_cast<int>(i)) + "] " +
            prog.rules[i].ToString(syms) + "\n";
   }
   auto strat = datalog::Stratify(prog, syms);
@@ -199,29 +213,51 @@ std::string RenderProgramExplain(const datalog::Program& prog,
   }
   out += "  stratification: " + std::to_string(strat->num_strata) +
          " strata\n";
-  std::map<size_t, size_t> stratum_of;  // rule index -> stratum
+  std::set<int> pre_run;  // rules planned before their inputs exist
+  std::map<int, Symbol> served_base;  // served rule -> closure base
   for (size_t s = 0; s < strat->rule_groups.size(); ++s) {
     out += "    stratum " + std::to_string(s) + ": rules";
-    for (int i : strat->rule_groups[s]) {
-      out += " " + std::to_string(rule_offset + static_cast<size_t>(i));
-      stratum_of[static_cast<size_t>(i)] = s;
-    }
+    for (int i : strat->rule_groups[s]) out += " " + rule_id(i);
     out += "\n";
+    const std::vector<eval::StratumGroup> groups =
+        eval::PlanStratum(prog, strat->rule_groups[s], *db, strategy);
+    const bool any_served =
+        std::any_of(groups.begin(), groups.end(),
+                    [](const eval::StratumGroup& g) { return g.served(); });
+    if (any_served) out += "      component order:";
+    for (size_t k = 0; k < groups.size(); ++k) {
+      const eval::StratumGroup& g = groups[k];
+      for (int i : g.rules) {
+        if (s > 0 || (any_served && k > 0)) pre_run.insert(i);
+        if (g.served()) served_base.emplace(i, g.tc_base);
+      }
+      if (!any_served) continue;
+      out += k == 0 ? " {" : ", {";
+      for (size_t j = 0; j < g.rules.size(); ++j) {
+        out += (j == 0 ? "" : " ") + rule_id(g.rules[j]);
+      }
+      out += g.served() ? std::string("} served by ") + eval::kTcKernelName
+                        : std::string("} semi-naive");
+    }
+    if (any_served) out += "\n";
   }
   out += "  join plans (pre-run cardinality estimates):\n";
   eval::CardinalityFn card = eval::MakeDbCardinality(db);
   for (size_t i = 0; i < prog.rules.size(); ++i) {
+    out += "    [" + rule_id(static_cast<int>(i)) + "] ";
+    if (auto it = served_base.find(static_cast<int>(i));
+        it != served_base.end()) {
+      out += std::string("served by ") + eval::kTcKernelName + " over " +
+             syms.name(it->second) + "\n";
+      continue;
+    }
     auto compiled = eval::CompiledRule::Compile(prog.rules[i], syms, card);
-    out += "    [" + std::to_string(rule_offset + i) + "] ";
     out += compiled.ok() ? compiled->PlanToString(syms)
                          : compiled.status().ToString();
-    // Strata above the first read IDBs this run has not materialized
-    // yet, so their estimates (and possibly the plans themselves) will
-    // differ at execution time.
-    if (auto it = stratum_of.find(i); it != stratum_of.end() &&
-                                      it->second > 0) {
-      out += " (pre-run)";
-    }
+    // These rules read IDBs this run has not materialized yet, so their
+    // estimates (and possibly the plans themselves) will differ at
+    // execution time.
+    if (pre_run.count(static_cast<int>(i)) > 0) out += " (pre-run)";
     out += "\n";
   }
   return out;
@@ -363,7 +399,8 @@ Status RunGraphLog(const QueryRequest& req, const QueryOptions& options,
     }
     if (explain) {
       resp->explain += "graph " + head + ":\n" +
-                       RenderProgramExplain(prog, rule_offset, db);
+                       RenderProgramExplain(prog, rule_offset,
+                                            options.eval.strategy, db);
     }
     rule_offset += prog.size();
     if (!execute) continue;
@@ -401,7 +438,10 @@ Status RunDatalog(const QueryRequest& req, const QueryOptions& options,
   }
   const bool explain = options.observability.explain ||
                        options.observability.explain_only;
-  if (explain) resp->explain += RenderProgramExplain(prog, 0, db);
+  if (explain) {
+    resp->explain +=
+        RenderProgramExplain(prog, 0, options.eval.strategy, db);
+  }
   if (options.observability.explain_only) return Status::OK();
 
   GRAPHLOG_RETURN_NOT_OK(

@@ -330,6 +330,25 @@ class Relation {
     ++data_generation_;
   }
 
+  /// \brief Loads every row of `rows` into this empty relation of the
+  /// same arity, sharing its chunks (O(chunks)) without hashing: the
+  /// bulk-load path for a kernel's duplicate-free output, which the
+  /// evaluation engine moves into a served closure's head. The dedup set
+  /// catches up lazily, as after AppendUnique. data_generation() advances
+  /// by one per row, as row-by-row appends would, so the grow-only
+  /// witness (generation delta == size delta) still holds.
+  void AdoptRows(const Relation& rows) {
+    assert(empty() && rows.arity_ == arity_);
+    chunks_ = rows.chunks_;
+    size_ = rows.size_;
+    for (size_t i = 0; !indexes_.empty() && i < size_; ++i) {
+      AppendToIndexes(row(i), static_cast<uint32_t>(i));
+    }
+    ++generation_;
+    data_generation_ += size_;
+    memory_dirty_ = true;
+  }
+
   /// \brief Inserts `t` like Insert() but WITHOUT bumping data_generation():
   /// the staging half of a multi-relation atomic write. The structural
   /// generation still advances (outstanding ProbeResults are invalidated),
@@ -550,12 +569,7 @@ class Relation {
   /// over every unchanged relation.
   size_t MemoryBytes() const {
     if (!memory_dirty_) return memory_bytes_;
-    // Row store: one Tuple header + arity values per row.
-    size_t bytes = size_ * (sizeof(Tuple) + arity_ * sizeof(Value));
-    // Dedup set: per entry, a copy of the tuple plus ~2 words of
-    // hash-table overhead (bucket slot + node link).
-    bytes += size_ *
-             (sizeof(Tuple) + arity_ * sizeof(Value) + 2 * sizeof(void*));
+    size_t bytes = size_ * RowBytes(arity_);
     for (const auto& [cols, index] : indexes_) {
       // Per distinct key: the key tuple and a posting-list header.
       bytes += index.size() * (sizeof(Tuple) + cols.size() * sizeof(Value) +
@@ -567,6 +581,18 @@ class Relation {
     memory_bytes_ = bytes;
     memory_dirty_ = false;
     return bytes;
+  }
+
+  /// \brief The part of MemoryBytes() that every row of an `arity`-column
+  /// relation adds whatever indexes are built: its row-store entry and its
+  /// dedup-set entry. A relation without indexes holds exactly
+  /// size() * RowBytes(arity()) bytes.
+  static constexpr size_t RowBytes(size_t arity) {
+    // Row store: one Tuple header + arity values per row. Dedup set: per
+    // entry, a copy of the tuple plus ~2 words of hash-table overhead
+    // (bucket slot + node link).
+    return (sizeof(Tuple) + arity * sizeof(Value)) +
+           (sizeof(Tuple) + arity * sizeof(Value) + 2 * sizeof(void*));
   }
 
  private:

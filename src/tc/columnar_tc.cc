@@ -1,9 +1,10 @@
 #include "tc/columnar_tc.h"
 
-#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -23,12 +24,13 @@ using storage::Tuple;
 Result<Relation> ColumnarTransitiveClosure(
     const Relation& edges, unsigned num_threads,
     obs::MetricsRegistry* metrics, const gov::GovernorContext* governor,
-    TcStats* stats, columnar::CsrCache* cache) {
+    TcStats* stats, columnar::CsrCache* cache, exec::ThreadPool* pool) {
   if (edges.arity() != 2) {
     return Status::InvalidArgument(
         "transitive closure requires a binary relation");
   }
-  const unsigned lanes = exec::ThreadPool::ResolveParallelism(num_threads);
+  TcStats local_stats;
+  if (stats == nullptr) stats = &local_stats;
 
   columnar::CsrCache local_cache;
   if (cache == nullptr) cache = &local_cache;
@@ -36,10 +38,34 @@ Result<Relation> ColumnarTransitiveClosure(
                             cache->Get(edges, metrics, governor));
   const uint32_t n = csr->num_nodes();
 
+  const gov::ResourceBudget no_budget;
+  const gov::ResourceBudget& budget =
+      governor != nullptr ? governor->budget : no_budget;
+  // Both budgets become one row cap: the closure holds no index, so each
+  // of its rows costs Relation::RowBytes(2). The cap stops the fan-out as
+  // soon as the sources finished so far hold more pairs than it allows:
+  // the full closure then holds more too, so the outcome is the same for
+  // every lane count. A strict budget fails there; return_partial stops
+  // claiming sources. Sources are claimed in index order, so every source
+  // below the last one claimed still completes, and those hold the
+  // prefix the merge keeps. Either way no more than the cap is merged.
+  constexpr uint64_t kNoCap = UINT64_MAX;
+  uint64_t row_cap = kNoCap;
+  bool capped_by_bytes = false;
+  if (budget.max_result_rows != 0) row_cap = budget.max_result_rows;
+  if (budget.max_bytes != 0 &&
+      budget.max_bytes / Relation::RowBytes(2) < row_cap) {
+    row_cap = budget.max_bytes / Relation::RowBytes(2);
+    capped_by_bytes = true;
+  }
+  std::atomic<uint64_t> pairs_found{0};
+  std::atomic<bool> over_budget{false};
+
   // Governed fan-out: one BFS per source, first failing source (in
   // source order) wins, lanes drain once the stop flag is up, token
   // polled inside the expansion.
   std::atomic<bool> stop{false};
+  std::atomic<bool> failed{false};
   std::mutex err_mu;
   Status lane_error = Status::OK();
   size_t err_src = n;
@@ -49,28 +75,33 @@ Result<Relation> ColumnarTransitiveClosure(
       err_src = s;
       lane_error = std::move(st);
     }
+    failed.store(true, std::memory_order_relaxed);
     stop.store(true, std::memory_order_relaxed);
   };
   const std::atomic<bool>* cancel =
       governor != nullptr ? governor->token.flag() : nullptr;
   std::vector<std::vector<uint32_t>> reach(n);
   {
-    exec::ThreadPool pool(lanes);
+    std::optional<exec::ThreadPool> own_pool;
+    if (pool == nullptr) {
+      pool = &own_pool.emplace(
+          exec::ThreadPool::ResolveParallelism(num_threads));
+    }
     // Per-worker scratch bitsets, reused across sources.
     struct Scratch {
       Bitset visited, frontier, next;
     };
-    std::vector<Scratch> scratch(pool.parallelism());
+    std::vector<Scratch> scratch(pool->parallelism());
     for (Scratch& sc : scratch) {
       sc.visited.ResetTo(n);
       sc.frontier.ResetTo(n);
       sc.next.ResetTo(n);
     }
-    pool.ParallelFor(
+    pool->ParallelFor(
         n,
         [&](unsigned wid, size_t s) {
           if (governor != nullptr) {
-            if (stop.load(std::memory_order_relaxed)) return;
+            if (failed.load(std::memory_order_relaxed)) return;
             Status st = governor->Check("tc.expand");
             if (!st.ok()) {
               record_error(s, std::move(st));
@@ -108,56 +139,59 @@ Result<Relation> ColumnarTransitiveClosure(
           std::vector<uint32_t>& local = reach[s];
           local.reserve(sc.visited.Count());
           sc.visited.ForEachSet([&](uint32_t v) { local.push_back(v); });
+          if (row_cap != kNoCap &&
+              pairs_found.fetch_add(local.size(),
+                                    std::memory_order_relaxed) +
+                      local.size() >
+                  row_cap) {
+            over_budget.store(true, std::memory_order_relaxed);
+            if (!budget.return_partial) {
+              // Observed at the first row past the cap: a count that does
+              // not depend on which sources happened to finish first.
+              record_error(
+                  s, capped_by_bytes
+                         ? gov::BudgetExceededError(
+                               "max_bytes", "tc.expand",
+                               (row_cap + 1) * Relation::RowBytes(2),
+                               budget.max_bytes)
+                         : gov::BudgetExceededError("max_result_rows",
+                                                    "tc.expand", row_cap + 1,
+                                                    row_cap));
+            }
+            stop.store(true, std::memory_order_relaxed);
+          }
         },
         governor != nullptr ? &stop : nullptr);
   }
   if (err_src < n) return lane_error;
 
-  size_t total = 0;
-  for (const auto& local : reach) total += local.size();
+  // The merge keeps every pair, or under a tripped return_partial cap
+  // the first `row_cap` pairs in source order.
+  const bool truncated = over_budget.load(std::memory_order_relaxed);
+  if (!truncated) row_cap = kNoCap;
+  stats->rounds = n;
+  stats->pair_visits = 0;  // pairs of the sources the merge reads
+  stats->truncated = truncated;
   Relation tc(2);
-  tc.Reserve(total);
   // Each (source, reached) pair is unique by construction — sources are
   // distinct and each source's reach set holds distinct nodes — so the
-  // merge bulk-loads past the dedup set entirely.
-  for (uint32_t s = 0; s < n; ++s) {
+  // merge bulk-loads past the dedup set entirely. The serial merge polls
+  // the cancellation token every 1,024 pairs, like the expansion.
+  size_t merged = 0;
+  for (uint32_t s = 0; s < n && merged < row_cap; ++s) {
     const Value& vs = csr->values[s];
+    stats->pair_visits += reach[s].size();
     for (uint32_t v : reach[s]) {
+      if (merged == row_cap) break;
+      if ((++merged & 1023u) == 0 && cancel != nullptr &&
+          cancel->load(std::memory_order_relaxed)) {
+        return Status::Cancelled("query cancelled at tc.expand");
+      }
       tc.AppendUnique(Tuple{vs, csr->values[v]});
     }
   }
-  TcStats local_stats;
-  if (stats == nullptr) stats = &local_stats;
-  stats->rounds = n;
-  stats->pair_visits = total;
-  // Budgets on the merged closure: the deterministic boundary of the
-  // kernel. `row_cap` is the number of rows the tripped budgets keep,
-  // starting at the whole closure, so a cap of 0 truncates everything.
   if (governor != nullptr) {
     GRAPHLOG_RETURN_NOT_OK(governor->CheckInterrupts("tc.expand"));
-    const gov::ResourceBudget& b = governor->budget;
-    uint64_t row_cap = tc.size();
-    if (b.max_result_rows != 0 && tc.size() > b.max_result_rows) {
-      if (!b.return_partial) {
-        return gov::BudgetExceededError("max_result_rows", "tc.expand",
-                                        tc.size(), b.max_result_rows);
-      }
-      row_cap = b.max_result_rows;
-    }
-    if (b.max_bytes != 0 && tc.MemoryBytes() > b.max_bytes) {
-      if (!b.return_partial) {
-        return gov::BudgetExceededError("max_bytes", "tc.expand",
-                                        tc.MemoryBytes(), b.max_bytes);
-      }
-      // Rounding the per-row estimate up keeps the cap below the
-      // closure's size whenever the byte budget trips.
-      uint64_t per_row = (tc.MemoryBytes() + tc.size() - 1) / tc.size();
-      row_cap = std::min<uint64_t>(row_cap, b.max_bytes / per_row);
-    }
-    if (row_cap < tc.size()) {
-      tc.TruncateTo(row_cap);
-      stats->truncated = true;
-    }
   }
   ExportTcMetrics(*stats, tc.size(), metrics);
   return tc;

@@ -26,6 +26,10 @@ namespace graphlog::columnar {
 class CsrCache;  // columnar/csr_cache.h
 }
 
+namespace graphlog::exec {
+class ThreadPool;  // exec/thread_pool.h
+}
+
 namespace graphlog::tc {
 
 /// \brief Transitive closure of binary `edges` via per-source bitset
@@ -39,19 +43,27 @@ namespace graphlog::tc {
 ///
 /// Governance: the `csr.build` point gates the CSR construction, every
 /// lane checks `tc.expand` per source claimed, and the cancellation token
-/// is polled every ~1k edge expansions inside a source's BFS. A governed
-/// abort stops the remaining lanes and returns before the merge, so no
-/// partial closure escapes. max_result_rows/max_bytes budgets are
-/// enforced on the merged closure (strict fail, or deterministic
-/// truncation to a prefix + `stats->truncated` with return_partial).
+/// is polled every ~1k edge expansions inside a source's BFS and every
+/// 1,024 pairs of the serial merge. A governed abort stops the remaining
+/// lanes and returns before the merge completes, so no partial closure
+/// escapes. max_result_rows and max_bytes (as max_bytes /
+/// Relation::RowBytes(2) rows: the closure holds no index) form one row
+/// cap, enforced before the merge: a strict budget fails as soon as the
+/// finished sources hold more pairs than the cap, reporting the first row
+/// past it (the same message at every lane count), and return_partial
+/// stops the fan-out there and merges only the first `cap` pairs, a
+/// deterministic prefix with `stats->truncated` set. Then `pair_visits`
+/// counts the pairs of the sources the merge read.
 ///
 /// `cache` (nullable) reuses/stores the CSR snapshot across calls,
-/// invalidated by the relation's data_generation.
+/// invalidated by the relation's data_generation. `pool` (nullable) runs
+/// the BFS on the caller's lanes instead of a pool of `num_threads`
+/// lanes built for the call; the evaluation engine passes its own.
 Result<storage::Relation> ColumnarTransitiveClosure(
     const storage::Relation& edges, unsigned num_threads = 0,
     obs::MetricsRegistry* metrics = nullptr,
     const gov::GovernorContext* governor = nullptr, TcStats* stats = nullptr,
-    columnar::CsrCache* cache = nullptr);
+    columnar::CsrCache* cache = nullptr, exec::ThreadPool* pool = nullptr);
 
 }  // namespace graphlog::tc
 

@@ -273,7 +273,9 @@ TEST(ResultCacheTest, TruncatedResponsesAreNeverCachedOrServed) {
   Database db = ChainDb(10);
   ResultCache cache;
   gov::GovernorContext governor;
-  governor.budget.max_rounds = 1;
+  // The closure is one served round, so a row cap (not a round cap)
+  // truncates it.
+  governor.budget.max_result_rows = 5;
   governor.budget.return_partial = true;
   QueryOptions opts;
   opts.cache.result_cache = &cache;

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -466,6 +467,59 @@ TEST(ColumnarGovernorTest, CancelLandsWellUnderStall) {
                               .count();
   EXPECT_EQ(result.code(), StatusCode::kCancelled) << result.ToString();
   EXPECT_LT(elapsed_ms, 2500);  // one stall is 5000 ms; N sources stall
+}
+
+TEST(ColumnarGovernorTest, CancelLandsInsideTheSerialMerge) {
+  // 1,000 sources all reach one hub and its 1,500 targets: the 1-lane BFS
+  // is two bitset waves per source, while the serial merge materializes
+  // 1.5M pairs, so most of an uncancelled run's time T is the merge. A
+  // cancel a third of the way in lands in the merge, which polls the
+  // token every 1,024 pairs: the kernel returns long before the rest of
+  // the merge could have run.
+  Relation edges(2);
+  for (int i = 0; i < 1000; ++i) {
+    edges.Insert(Tuple{Value::Int(i), Value::Int(-1)});
+  }
+  for (int j = 0; j < 1500; ++j) {
+    edges.Insert(Tuple{Value::Int(-1), Value::Int(100000 + j)});
+  }
+  using Clock = std::chrono::steady_clock;
+  Clock::duration full{};
+  {
+    const auto start = Clock::now();
+    ASSERT_OK_AND_ASSIGN(Relation closure,
+                         tc::ColumnarTransitiveClosure(edges, 1));
+    EXPECT_EQ(closure.size(), 1000u * 1501u + 1500u);
+    full = Clock::now() - start;
+  }
+  // A loaded host can deschedule the worker, so the fastest of a few
+  // cancelled attempts is compared; finishing the merge would take about
+  // two thirds of `full` on every attempt.
+  Clock::duration fastest = Clock::duration::max();
+  for (int attempt = 0; attempt < 5 && fastest >= full / 2; ++attempt) {
+    gov::GovernorContext g;
+    gov::CancellationToken token = g.token;
+    Status result = Status::OK();
+    Clock::time_point done;
+    std::thread worker([&] {
+      result = tc::ColumnarTransitiveClosure(edges, 1, nullptr, &g).status();
+      done = Clock::now();
+    });
+    std::this_thread::sleep_for(full / 3);
+    const auto cancel_at = Clock::now();
+    token.Cancel();
+    worker.join();
+    if (result.ok()) continue;  // the run beat the cancel; try again
+    EXPECT_EQ(result.code(), StatusCode::kCancelled) << result.ToString();
+    fastest = std::min(fastest, done - cancel_at);
+  }
+  EXPECT_LT(fastest, full / 2)
+      << "cancel took "
+      << std::chrono::duration_cast<std::chrono::milliseconds>(fastest)
+             .count()
+      << " ms of a "
+      << std::chrono::duration_cast<std::chrono::milliseconds>(full).count()
+      << " ms run";
 }
 
 TEST(ColumnarGovernorTest, CsrBuildFaultFailsKernel) {

@@ -232,14 +232,25 @@ TEST(QueryApiTest, TracedRunCoversThePipeline) {
     EXPECT_NE(std::find(names.begin(), names.end(), expect), names.end())
         << "missing span " << expect;
   }
-  // The trace carries no counter copies: totals come from the stats, and
-  // each round span records its per-predicate delta sizes as attrs.
+  // The trace carries no counter copies: totals come from the stats. The
+  // closure is served by the TC kernel, which its round span names.
   EXPECT_GT(r->stats.datalog.tuples_derived, 0u);
   EXPECT_GT(r->stats.result_tuples, 0u);
   EXPECT_EQ(r->trace.ToJson().find("\"metrics\""), std::string::npos);
-  EXPECT_GT(SumAttrs(r->trace.spans, "delta."), 0);
+  EXPECT_NE(r->trace.ToJson().find(eval::kTcKernelName), std::string::npos);
+  EXPECT_GT(SumAttrs(r->trace.spans, "derived"), 0);
   EXPECT_EQ(SumAttrs(r->trace.spans, "strata"),
             static_cast<int64_t>(r->stats.datalog.strata));
+
+  // A fixpoint round span records its per-predicate delta sizes as attrs
+  // (the mirrored closure stays on the fixpoint).
+  QueryRequest dreq = QueryRequest::Datalog(
+      "tc(X, Y) :- edge(X, Y).\n"
+      "tc(X, Z) :- tc(X, Y), edge(Y, Z).\n");
+  dreq.options.observability.tracing = true;
+  auto d = graphlog::Run(dreq, &db);
+  ASSERT_OK(d.status());
+  EXPECT_GT(SumAttrs(d->trace.spans, "delta."), 0);
 }
 
 TEST(QueryApiTest, TracingOffProducesEmptyTrace) {
@@ -383,12 +394,12 @@ TEST(QueryApiTest, IndexCountersSurviveMultiGraphQueries) {
   // Two query graphs -> two engine runs accumulated through
   // EvalStats::Merge; the index maintenance counters must survive (the
   // old field-by-field accumulation silently dropped them). Each graph's
-  // recursive plan builds an index (probe edge / probe t1), so the merged
-  // total must see both.
+  // composition builds an index (the closure edge+ is served by the TC
+  // kernel, which builds none), so the merged total must see both.
   Database db;
   ASSERT_OK(workload::RandomDigraph(60, 180, 17, &db));
   QueryRequest req = QueryRequest::GraphLog(
-      "query t1 { edge X -> Y : edge+; distinguished X -> Y : t1; }\n"
+      "query t1 { edge X -> Y : edge edge+; distinguished X -> Y : t1; }\n"
       "query t2 { edge X -> Y : t1 t1; distinguished X -> Y : t2; }\n");
   auto r = graphlog::Run(req, &db);
   ASSERT_OK(r.status());

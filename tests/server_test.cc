@@ -528,7 +528,8 @@ TEST(ServerGovernanceTest, SessionBudgetAndCancellationGovernQueries) {
   Server server;
   ASSERT_OK(server.Apply(WriteBatch().Facts(kSeedFacts)).status());
   SessionOptions so;
-  so.budget.max_rounds = 1;
+  // The closure is one served round; its rows trip the row budget.
+  so.budget.max_result_rows = 1;
   ASSERT_OK_AND_ASSIGN(auto session, server.OpenSession(so));
   auto tripped = session->Run(QueryRequest::GraphLog(kTcQuery));
   EXPECT_EQ(tripped.status().code(), StatusCode::kBudgetExceeded);

@@ -148,10 +148,10 @@ t(a, c)
 . by rule: t(X, Y) :- edge-tc(X, Y).
 . edge-tc(a, c)
 . . by rule: edge-tc(_X2, _Y3) :- edge(_X2, _Z4), edge-tc(_Z4, _Y3).
+. . edge(a, b)   [edb]
 . . edge-tc(b, c)
 . . . by rule: edge-tc(_X0, _Y1) :- edge(_X0, _Y1).
 . . . edge(b, c)   [edb]
-. . edge(a, b)   [edb]
 graph v:
   program:
     [0] v(X, Y) :- edge-tc_0(X, Y).
@@ -159,10 +159,11 @@ graph v:
     [2] edge-tc_0(_X2_0, _Y3_0) :- edge(_X2_0, _Z4_0), edge-tc_0(_Z4_0, _Y3_0).
   stratification: 1 strata
     stratum 0: rules 0 1 2
+      component order: {1 2} served by tc::ColumnarTransitiveClosure, {0} semi-naive
   join plans (pre-run cardinality estimates):
-    [0] v <- scan edge-tc_0 [driver]
-    [1] edge-tc_0 <- scan edge [driver]
-    [2] edge-tc_0 <- scan edge-tc_0 [driver] ; probe edge(1)
+    [0] v <- scan edge-tc_0 [driver] (pre-run)
+    [1] served by tc::ColumnarTransitiveClosure over edge
+    [2] served by tc::ColumnarTransitiveClosure over edge
 digraph graphical_query {
   rankdir=LR;
   subgraph cluster_0 {
@@ -226,7 +227,7 @@ result cache on (64 MiB budget)
 2 tuples derived (1 graphs translated, 0 summarized)
 (result cache hit)
 2 tuples derived (1 graphs translated, 0 summarized)
-result cache on (budget 67108864): 1 hits, 0 replays, 1 misses, 0 evictions, 1 inserts, 0 rejected, 1657 bytes, 1 entries
+result cache on (budget 67108864): 1 hits, 0 replays, 1 misses, 0 evictions, 1 inserts, 0 rejected, 1773 bytes, 1 entries
 result cache off
 armed eval.round
 armed pool.task
