@@ -3,7 +3,7 @@
 // Expected shape: the wire adds a fixed per-request cost (frame
 // encode/decode + CRC + a loopback round trip) on top of in-process
 // session serving — compare BM_NetQueryRoundTrip here against
-// bench_server's BM_RunSessionWrapper. Throughput scales with client
+// bench_server's BM_RunDirectPipeline. Throughput scales with client
 // count until the engine saturates, tail latency stays bounded, and
 // under admission pressure the server sheds deterministically with
 // kOverloaded instead of queueing without bound.

@@ -5,8 +5,9 @@
 // lane count 1 is the sequential baseline. Each source's bitset BFS runs
 // on one lane, but the merge of the per-source results is serial, and on
 // this graph the merge dominates: the curve is flat rather than
-// near-linear. The report cross-checks the closure against the kNaive
-// oracle and the 4-lane insertion order against the single-lane one.
+// near-linear. The report cross-checks the closure against the oracle,
+// the engine's naive fixpoint, and the 4-lane insertion order against the
+// single-lane one.
 
 #include <benchmark/benchmark.h>
 
@@ -15,7 +16,6 @@
 #include "bench/bench_util.h"
 #include "storage/database.h"
 #include "tc/columnar_tc.h"
-#include "tc/transitive_closure.h"
 #include "workload/generators.h"
 
 using namespace graphlog;
@@ -32,11 +32,11 @@ storage::Database MakeGraph(int n) {
 void Report() {
   bench::Banner("Parallel TC — the Section 6 QNC claim, operationally",
                 "per-source closure partitions across lanes; results "
-                "identical to the kNaive oracle at every lane count");
+                "identical to the naive-fixpoint oracle at every lane count");
   storage::Database db = MakeGraph(200);
   const storage::Relation& e = *db.Find("edge");
-  auto naive = CheckOk(tc::TransitiveClosure(e, tc::TcAlgorithm::kNaive),
-                       "naive");
+  storage::Relation naive =
+      bench::FixpointClosure(e, eval::Strategy::kNaive);
   auto one = CheckOk(tc::ColumnarTransitiveClosure(e, 1), "1 lane");
   auto four = CheckOk(tc::ColumnarTransitiveClosure(e, 4), "4 lanes");
   std::printf("hardware threads: %u\n",

@@ -18,6 +18,7 @@
 
 #include "common/result.h"
 #include "common/status.h"
+#include "eval/engine.h"
 #include "graphlog/api.h"
 #include "storage/database.h"
 
@@ -45,6 +46,29 @@ template <typename T>
 T CheckOk(Result<T> r, const char* what) {
   CheckOk(r.status(), what);
   return std::move(r).ValueOrDie();
+}
+
+/// \brief The positive closure of binary `edges` by the engine's own
+/// fixpoint over a TC pair the kernel does not serve: under
+/// eval::Strategy::kNaive the right-linear pair (the TC oracle), under
+/// kSemiNaive the left-linear one. `stats` (nullable) gets the run's
+/// counters.
+inline storage::Relation FixpointClosure(const storage::Relation& edges,
+                                         eval::Strategy strategy,
+                                         eval::EvalStats* stats = nullptr) {
+  storage::Database db;
+  db.relations().emplace(db.Intern("edge"), edges);
+  eval::EvalOptions opts;
+  opts.strategy = strategy;
+  const char* rec = strategy == eval::Strategy::kNaive
+                        ? "tc(X, Y) :- edge(X, Z), tc(Z, Y).\n"
+                        : "tc(X, Z) :- tc(X, Y), edge(Y, Z).\n";
+  eval::EvalStats run = CheckOk(
+      eval::EvaluateText(std::string("tc(X, Y) :- edge(X, Y).\n") + rec, &db,
+                         opts),
+      "fixpoint closure");
+  if (stats != nullptr) *stats = run;
+  return *db.Find("tc");
 }
 
 /// \brief Client operations per iteration of the mixed-workload benches

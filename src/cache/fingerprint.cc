@@ -61,8 +61,6 @@ std::string CanonicalQueryKey(std::string_view text,
   key += std::to_string(static_cast<int>(options.strategy));
   key += ";card=";
   key += options.cardinality_join_ordering ? '1' : '0';
-  key += ";maxit=";
-  key += std::to_string(options.max_iterations);
   key += ";magic=";
   key += options.specialize_bound_closures ? '1' : '0';
   key += ";text=";

@@ -8,8 +8,7 @@
 //     literals, where whitespace is data), and
 //   * every option that can change the materialized result or its
 //     insertion order: the source language, the evaluation strategy, the
-//     join-ordering mode, max_iterations, and the bound-closure
-//     specialization rewrite.
+//     join-ordering mode, and the bound-closure specialization rewrite.
 //
 // Deliberately excluded: num_threads (the engine's partition-ordered
 // merge makes results bit-identical across lane counts), and every
@@ -37,7 +36,6 @@ struct QueryKeyOptions {
   uint8_t language = 0;
   eval::Strategy strategy = eval::Strategy::kSemiNaive;
   bool cardinality_join_ordering = true;
-  uint64_t max_iterations = 0;
   bool specialize_bound_closures = false;
 };
 

@@ -92,12 +92,18 @@ constexpr size_t kMinRowsPerPartition = 128;
 /// Shared evaluation state for one program run.
 class Engine {
  public:
-  Engine(const Program& prog, Database* db, const EvalOptions& options)
+  /// `grown_from` (null for a plain run) selects growth mode: see
+  /// EvaluateGrowth.
+  Engine(const Program& prog, Database* db, const EvalOptions& options,
+         const std::map<Symbol, size_t>* grown_from = nullptr)
       : prog_(prog),
         db_(db),
         options_(options),
         csr_cache_(options.csr_cache != nullptr ? options.csr_cache
-                                                : &local_csr_cache_) {}
+                                                : &local_csr_cache_),
+        growth_(grown_from != nullptr) {
+    if (growth_) grown_ = *grown_from;
+  }
 
   Result<EvalStats> Run() {
     const SymbolTable& syms = db_->symbols();
@@ -198,7 +204,9 @@ class Engine {
   const Relation* Resolve(Symbol pred) const { return db_->Find(pred); }
 
   /// Runs one stratum: its groups in PlanStratum's order, each served
-  /// closure through the TC kernel and every other group to fixpoint.
+  /// closure through the TC kernel and every other group to fixpoint. In
+  /// growth mode every head a group grew joins the grown set, from its
+  /// pre-run size (the rollback baseline), for the groups after it.
   Status RunStratum(const std::vector<int>& rule_indices,
                     obs::SpanGuard* span) {
     bool noted = false;
@@ -207,17 +215,78 @@ class Engine {
       if (truncated_) break;
       if (!g.served()) {
         GRAPHLOG_RETURN_NOT_OK(RunGroup(g.rules));
-        continue;
+      } else {
+        if (!noted) span->AddNote("kernel", kTcKernelName);
+        noted = true;
+        GRAPHLOG_RETURN_NOT_OK(RunServedClosure(g));
       }
-      if (!noted) span->AddNote("kernel", kTcKernelName);
-      noted = true;
-      GRAPHLOG_RETURN_NOT_OK(RunServedClosure(g));
+      if (!growth_) continue;
+      for (int i : g.rules) {
+        const Symbol h = prog_.rules[i].head.predicate;
+        const size_t base = baseline_.at(h);
+        const size_t pre = base == kCreatedByRun ? 0 : base;
+        if (db_->Find(h)->size() > pre) grown_.emplace(h, pre);
+      }
     }
     return Status::OK();
   }
 
-  /// Runs one group of a stratum's rules to fixpoint.
-  Status RunGroup(const std::vector<int>& rule_indices) {
+  /// Growth mode: the rules of a group that can derive something new,
+  /// those reading a grown or local predicate, and in `delta` the suffix
+  /// of each grown predicate they read, built in O(new rows). Growth into
+  /// an aggregate or a negated subgoal can retract derived tuples, which
+  /// extending a fixpoint cannot express: Internal (callers check up
+  /// front, as ViewCatalog's IncrementalSafe does).
+  Result<std::vector<int>> GrowthRules(const std::vector<int>& group,
+                                       const std::set<Symbol>& local_idbs,
+                                       std::map<Symbol, Relation>* delta) {
+    std::vector<int> active;
+    for (int i : group) {
+      const Rule& r = prog_.rules[i];
+      bool reads = false;
+      for (const auto& l : r.body) {
+        if (!l.is_relational()) continue;
+        const Symbol p = l.atom.predicate;
+        auto g = grown_.find(p);
+        if (g == grown_.end()) {
+          reads |= local_idbs.count(p) > 0;
+          continue;
+        }
+        if (l.is_negated_atom() || r.head.has_aggregates()) {
+          return Status::Internal(
+              "growth of '" + db_->symbols().name(p) +
+              "' reached an aggregate or negated subgoal of rule " +
+              std::to_string(i));
+        }
+        reads = true;
+        if (delta->count(p) > 0) continue;
+        const Relation& rel = *db_->Find(p);
+        Relation d(rel.arity());
+        for (size_t k = g->second; k < rel.size(); ++k) {
+          d.AppendUnique(rel.row(k));
+        }
+        delta->emplace(p, std::move(d));
+      }
+      if (reads) active.push_back(i);
+    }
+    return active;
+  }
+
+  /// Runs one group of a stratum's rules to fixpoint; in growth mode,
+  /// extends the group's materialized fixpoint instead.
+  Status RunGroup(const std::vector<int>& group_rules) {
+    // IDB predicates defined in this group.
+    std::set<Symbol> local_idbs;
+    for (int i : group_rules) {
+      local_idbs.insert(prog_.rules[i].head.predicate);
+    }
+    std::vector<int> rule_indices = group_rules;
+    std::map<Symbol, Relation> grown_delta;
+    if (growth_) {
+      GRAPHLOG_ASSIGN_OR_RETURN(
+          rule_indices, GrowthRules(group_rules, local_idbs, &grown_delta));
+      if (grown_delta.empty()) return Status::OK();
+    }
     // Compile the group's rules now: lower strata and earlier groups are
     // materialized, so the cardinality oracle sees real sizes (and real
     // column statistics) for everything below.
@@ -262,12 +331,6 @@ class Engine {
       }
     }
 
-    // IDB predicates defined in this group.
-    std::set<Symbol> local_idbs;
-    for (int i : rule_indices) {
-      local_idbs.insert(prog_.rules[i].head.predicate);
-    }
-
     std::vector<int> aggregate_rules, normal_rules;
     for (int i : rule_indices) {
       if (prog_.rules[i].head.has_aggregates()) {
@@ -283,6 +346,13 @@ class Engine {
     const uint64_t seed_derived_before = stats_.tuples_derived;
     for (int i : aggregate_rules) {
       GRAPHLOG_RETURN_NOT_OK(RunAggregateRule(i));
+    }
+
+    // Growth mode: one fixpoint seeded from the grown suffixes, in which
+    // a rule reading no local head runs in the first round only.
+    if (growth_) {
+      return SemiNaiveFixpoint(normal_rules, local_idbs,
+                               std::move(grown_delta));
     }
 
     // Split normal rules into non-recursive (no local IDB in body) and
@@ -319,7 +389,15 @@ class Engine {
     if (options_.strategy == Strategy::kNaive) {
       return NaiveFixpoint(rec_rules);
     }
-    return SemiNaiveFixpoint(rec_rules, local_idbs);
+    // The first round's delta is everything currently known for each
+    // local head: a relation sharing its rows, so seeding costs O(chunks)
+    // however much it already holds (a long-lived session's earlier
+    // results included).
+    std::map<Symbol, Relation> delta;
+    for (Symbol p : local_idbs) {
+      delta.emplace(p, Relation::SharingRows(*db_->Find(p)));
+    }
+    return SemiNaiveFixpoint(rec_rules, local_idbs, std::move(delta));
   }
 
   /// Serves one unbound binary TC pair p = q+ (PlanStratum) with one
@@ -341,7 +419,7 @@ class Engine {
     const uint64_t firings_before = stats_.rule_firings;
     const uint64_t derived_before = stats_.tuples_derived;
     const uint64_t t0 = options_.profile != nullptr ? obs::NowNs() : 0;
-    GRAPHLOG_RETURN_NOT_OK(TickIteration());
+    ++stats_.iterations;
     if (options_.tracer != nullptr) {
       for (int i : g.rules) {
         options_.tracer->AddNote("plan rule " + std::to_string(i),
@@ -545,7 +623,7 @@ class Engine {
       span.AddAttr("round", round++);
       const uint64_t firings_before = stats_.rule_firings;
       const uint64_t derived_before = stats_.tuples_derived;
-      GRAPHLOG_RETURN_NOT_OK(TickIteration());
+      ++stats_.iterations;
       changed = false;
       const uint64_t round_delta = last_round_added;
       last_round_added = 0;
@@ -578,16 +656,13 @@ class Engine {
     options_.profile->rounds.push_back(r);
   }
 
-  Status SemiNaiveFixpoint(const std::vector<int>& rec_rules,
-                           const std::set<Symbol>& local_idbs) {
-    // delta[p] starts as everything currently known for p: a relation
-    // sharing p's rows, so seeding costs O(chunks) however much p already
-    // holds (a long-lived session's earlier results included).
-    std::map<Symbol, Relation> delta;
-    for (Symbol p : local_idbs) {
-      delta.emplace(p, Relation::SharingRows(*db_->Find(p)));
-    }
-
+  /// Runs `rules` semi-naively from the first round's `delta`: each
+  /// round runs every rule once per occurrence of a delta predicate, that
+  /// occurrence reading the delta, and the next round's delta is the
+  /// local heads' novel rows.
+  Status SemiNaiveFixpoint(const std::vector<int>& rules,
+                           const std::set<Symbol>& local_idbs,
+                           std::map<Symbol, Relation> delta) {
     bool any_delta = true;
     int64_t round = 0;
     while (any_delta) {
@@ -621,18 +696,18 @@ class Engine {
       }
       const uint64_t firings_before = stats_.rule_firings;
       const uint64_t derived_before = stats_.tuples_derived;
-      GRAPHLOG_RETURN_NOT_OK(TickIteration());
+      ++stats_.iterations;
       std::map<Symbol, Relation> next;
       for (Symbol p : local_idbs) {
         next.emplace(p, Relation(db_->Find(p)->arity()));
       }
       // The round's tasks in serial order: for each rule, one run per
-      // occurrence of a local IDB in the body, with that occurrence
+      // occurrence of a delta predicate in the body, with that occurrence
       // reading the delta.
       std::vector<RuleTask> round;
-      for (int i : rec_rules) {
+      for (int i : rules) {
         const CompiledRule& c = compiled_.at(i);
-        for (Symbol p : local_idbs) {
+        for (const auto& [p, d] : delta) {
           for (int occ : c.OccurrencesOf(p)) {
             round.push_back({i, p, occ});
           }
@@ -1136,15 +1211,6 @@ class Engine {
     return Status::OK();
   }
 
-  Status TickIteration() {
-    ++stats_.iterations;
-    if (options_.max_iterations != 0 &&
-        stats_.iterations > options_.max_iterations) {
-      return Status::Internal("evaluation exceeded max_iterations");
-    }
-    return Status::OK();
-  }
-
   /// Restores every head relation to its pre-run state: relations this
   /// run created are removed, pre-existing ones truncated back to their
   /// baseline size (insertion order makes TruncateTo an exact undo). Only
@@ -1252,6 +1318,10 @@ class Engine {
   std::string truncated_by_;
   int64_t stratum_ = 0;  // current stratum index, for trip messages
   int64_t prof_round_ = 0;  // round index within the stratum (profiling)
+  // Growth mode (EvaluateGrowth): each grown predicate with the first
+  // of its rows the fixpoint has not taken in yet.
+  const bool growth_;
+  std::map<Symbol, size_t> grown_;
 };
 
 }  // namespace
@@ -1322,6 +1392,22 @@ std::vector<StratumGroup> PlanStratum(const Program& prog,
 Result<EvalStats> Evaluate(const Program& prog, Database* db,
                            const EvalOptions& options) {
   Engine engine(prog, db, options);
+  return engine.Run();
+}
+
+Result<EvalStats> EvaluateGrowth(const Program& prog, Database* db,
+                                 const std::map<Symbol, size_t>& grown_from,
+                                 const EvalOptions& options) {
+  for (const auto& [p, from] : grown_from) {
+    const Relation* rel = db->Find(p);
+    if (rel == nullptr || from > rel->size()) {
+      return Status::InvalidArgument("grown relation '" +
+                                     db->symbols().name(p) +
+                                     "' is missing or smaller than its "
+                                     "recorded size");
+    }
+  }
+  Engine engine(prog, db, options, &grown_from);
   return engine.Run();
 }
 

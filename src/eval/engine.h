@@ -19,6 +19,7 @@
 #define GRAPHLOG_EVAL_ENGINE_H_
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -62,8 +63,6 @@ struct EvalOptions {
   /// relations (rules are compiled per stratum, so lower-strata IDB sizes
   /// are real). Disable to get the syntactic bound-count ordering.
   bool cardinality_join_ordering = true;
-  /// Safety valve for runaway recursion in tests; 0 = unlimited.
-  uint64_t max_iterations = 0;
   /// Worker lanes for rule execution: 1 (default) is the serial path, 0
   /// resolves to hardware concurrency, N > 1 uses N lanes. Join plans
   /// partition their driver relation across lanes with per-partition
@@ -219,6 +218,27 @@ std::vector<StratumGroup> PlanStratum(const datalog::Program& prog,
 Result<EvalStats> Evaluate(const datalog::Program& prog,
                            storage::Database* db,
                            const EvalOptions& options = {});
+
+/// \brief Extends a fixpoint of `prog` already materialized in `db` after
+/// some base relations grew: `grown_from[p]` is the first row of base `p`
+/// the materialized fixpoint has not seen (rows only ever append, so the
+/// new rows are the suffix from there). The result is set-equal to a
+/// cold Evaluate over the grown bases.
+///
+/// The same engine runs it, with every EvalOptions knob (lanes, governor,
+/// tracer, metrics, profile, provenance): each group's rules that read a
+/// grown or local predicate run semi-naively, their first round reading
+/// the grown suffixes; rules reading neither are skipped; a head that
+/// grows joins the grown set for the groups above from its pre-run size;
+/// a served closure whose head is empty still goes to the TC kernel. A
+/// governed abort truncates every head back to its pre-run size. Growth
+/// reaching an aggregate or a negated subgoal fails with kInternal:
+/// insertions there can retract derived tuples, so callers must rule it
+/// out first (cache::ViewCatalog does).
+Result<EvalStats> EvaluateGrowth(const datalog::Program& prog,
+                                 storage::Database* db,
+                                 const std::map<Symbol, size_t>& grown_from,
+                                 const EvalOptions& options = {});
 
 /// \brief Convenience: parse + evaluate program text against `db`.
 ///

@@ -124,8 +124,7 @@ struct ResourceBudget {
   uint64_t max_result_rows = 0;
   /// Max combined delta-relation rows at any semi-naive round start.
   uint64_t max_delta_rows = 0;
-  /// Max fixpoint rounds across the run (EvalStats::iterations; TC:
-  /// TcStats::rounds).
+  /// Max fixpoint rounds across the run (EvalStats::iterations).
   uint64_t max_rounds = 0;
   /// Max estimated bytes (database + live deltas, Relation::MemoryBytes).
   uint64_t max_bytes = 0;

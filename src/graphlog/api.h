@@ -135,9 +135,9 @@ struct QueryOptions {
     uint64_t slow_query_threshold_ns = 0;
     obs::SlowQueryLog* slow_query_log = nullptr;
     /// Attribution fields stamped into slow-query records: the session
-    /// name and server epoch the query ran under. Session::Run fills them
-    /// for detached sessions; they stay empty/zero for graphlog::Run and
-    /// attached sessions (which run raw against the caller's Database).
+    /// name and server epoch the query ran under. Session::Run fills
+    /// them; they stay empty/zero for direct graphlog::Run calls, which
+    /// run against the caller's Database.
     std::string session;
     uint64_t server_epoch = 0;
   } observability;
@@ -226,28 +226,18 @@ struct QueryResponse {
 };
 
 /// \brief Evaluates `req` against `db`, materializing each IDB predicate
-/// (including translation auxiliaries) as a relation. The single-caller
-/// front door: parse -> validate -> order query graphs -> per graph,
-/// lambda-translate (Definition 2.4) and run the stratified engine or
-/// the path-summarization operator (Section 4).
+/// (including translation auxiliaries) as a relation. The query
+/// pipeline: cache / view serving, parse -> validate -> order query
+/// graphs -> per graph, lambda-translate (Definition 2.4) and run the
+/// stratified engine or the path-summarization operator (Section 4),
+/// then metrics and slow-log capture. A columnar request without a CSR
+/// cache gets one for the request.
 ///
-/// Implemented (in graphlog_server) as a thin wrapper over a
-/// single-session in-process Server attached to `db`, so the same code
-/// path serves one caller and many; semantics and overhead match calling
-/// the pipeline directly. Concurrent callers should hold a Server and
-/// open a Session per thread instead (server/server.h).
+/// The single-caller front door; Session::Run calls it on the session's
+/// private database after filling the session's defaults. Concurrent
+/// callers should hold a Server and open a Session per thread instead
+/// (server/server.h).
 Result<QueryResponse> Run(const QueryRequest& req, storage::Database* db);
-
-namespace detail {
-
-/// \brief The raw query pipeline Run() and Session::Run() share: cache /
-/// view serving, evaluation, metrics, slow-log capture — everything
-/// except session bookkeeping. Not part of the public surface; call
-/// graphlog::Run or Session::Run.
-Result<QueryResponse> RunPipeline(const QueryRequest& req,
-                                  storage::Database* db);
-
-}  // namespace detail
 
 /// \brief Builds a materialized-view definition named `name` from a
 /// GraphLog query: parses and validates `text`, orders and

@@ -26,10 +26,9 @@ struct SlowQueryRecord {
   uint64_t sequence = 0;      ///< 1-based across the log's lifetime
   std::string language;       ///< "graphlog" | "datalog"
   std::string text;           ///< request text ("<graphical>" for pre-parsed)
-  /// Attribution: the (detached) session that ran the query and the
-  /// server epoch it ran under. Empty/zero for attached sessions and raw
-  /// graphlog::Run calls, which run directly against the caller's
-  /// database.
+  /// Attribution: the session that ran the query and the server epoch
+  /// it ran under. Empty/zero for direct graphlog::Run calls, which run
+  /// against the caller's database.
   std::string session;
   uint64_t server_epoch = 0;
   uint64_t duration_ns = 0;

@@ -60,7 +60,7 @@ void Database::ExportResourceMetrics(obs::MetricsRegistry* registry) const {
     const size_t bytes = rel.MemoryBytes();
     registry->gauge(base + ".rows")->Set(static_cast<int64_t>(rel.size()));
     registry->gauge(base + ".bytes")->Set(static_cast<int64_t>(bytes));
-    if (const RelationStats* st = stats_.Get(rel); st != nullptr) {
+    if (const RelationStats* st = stats_.Get(sym, rel); st != nullptr) {
       for (uint32_t c = 0; c < rel.arity(); ++c) {
         const std::string col = std::to_string(c);
         registry->gauge(base + ".distinct." + col)

@@ -133,11 +133,11 @@ class Database {
   /// planner's cardinality oracle and EXPLAIN both read estimates here.
   const RelationStats* StatsFor(Symbol name) const {
     const Relation* rel = Find(name);
-    return rel == nullptr ? nullptr : stats_.Get(*rel);
+    return rel == nullptr ? nullptr : stats_.Get(name, *rel);
   }
   const RelationStats* StatsFor(std::string_view name) const {
-    const Relation* rel = Find(name);
-    return rel == nullptr ? nullptr : stats_.Get(*rel);
+    const Symbol s = syms_.Lookup(name);
+    return s == kNoSymbol ? nullptr : StatsFor(s);
   }
 
   /// \brief The stats catalog itself (Peek without forcing computation).
@@ -154,16 +154,20 @@ class Database {
   /// queries sees the last published level.
   void ExportResourceMetrics(obs::MetricsRegistry* registry) const;
 
-  /// \brief Drops the named relation entirely; returns true when it
-  /// existed. Used by governed-abort rollback to remove relations a
-  /// failed run created.
-  bool Remove(Symbol name) { return relations_.erase(name) > 0; }
+  /// \brief Drops the named relation entirely, with its column
+  /// statistics; returns true when it existed. Used by governed-abort
+  /// rollback to remove relations a failed run created.
+  bool Remove(Symbol name) {
+    stats_.Erase(name);
+    return relations_.erase(name) > 0;
+  }
 
-  /// \brief Drops every relation whose name is not in `keep`; used to
-  /// strip IDB results between runs.
+  /// \brief Drops every relation whose name is not in `keep`, with its
+  /// column statistics; used to strip IDB results between runs.
   void RetainOnly(const std::set<Symbol>& keep) {
     for (auto it = relations_.begin(); it != relations_.end();) {
       if (keep.count(it->first) == 0) {
+        stats_.Erase(it->first);
         it = relations_.erase(it);
       } else {
         ++it;

@@ -21,6 +21,15 @@ using columnar::Csr;
 using storage::Relation;
 using storage::Tuple;
 
+void ExportTcMetrics(const TcStats& stats, size_t output_pairs,
+                     obs::MetricsRegistry* metrics) {
+  if (metrics == nullptr) return;
+  metrics->counter("tc.invocations")->Increment();
+  obs::ExportCounters(kTcCounters, stats, metrics);
+  metrics->histogram("tc.output_pairs")
+      ->Observe(static_cast<int64_t>(output_pairs));
+}
+
 Result<Relation> ColumnarTransitiveClosure(
     const Relation& edges, unsigned num_threads,
     obs::MetricsRegistry* metrics, const gov::GovernorContext* governor,

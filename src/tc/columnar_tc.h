@@ -1,10 +1,14 @@
 // Columnar transitive closure: per-source BFS over CSR adjacency with
-// bitset frontiers (columnar/bitset.h), the per-source and multi-lane
-// closure kernel. Section 6 of the paper: "GraphLog is in QNC, hence
-// amenable to efficient parallel implementations" — per-source closure
-// is embarrassingly parallel, so sources fan out over exec::ThreadPool
-// lanes and the per-source results are merged in source order, making
-// output contents and insertion order identical for every thread count.
+// bitset frontiers (columnar/bitset.h), the one closure kernel. Section 6
+// of the paper: "implementations can benefit from the existing work on
+// transitive closure computation"; eval::Engine hands it every unbound
+// binary TC rule pair, and the engine's plain fixpoint
+// (eval::Strategy::kNaive) is the oracle it is tested against. "GraphLog
+// is in QNC, hence amenable to efficient parallel implementations" —
+// per-source closure is embarrassingly parallel, so sources fan out over
+// exec::ThreadPool lanes and the per-source results are merged in source
+// order, making output contents and insertion order identical for every
+// thread count.
 // The expansion is word-at-a-time (frontier &~ visited, or-scan of sorted
 // spans) and the merge bulk-loads via Relation::AppendUnique, skipping
 // the per-row dedup hashing: each (source, reached) pair is emitted
@@ -13,10 +17,12 @@
 #ifndef GRAPHLOG_TC_COLUMNAR_TC_H_
 #define GRAPHLOG_TC_COLUMNAR_TC_H_
 
+#include <cstddef>
+#include <cstdint>
+
 #include "common/result.h"
 #include "obs/metrics.h"
 #include "storage/relation.h"
-#include "tc/transitive_closure.h"
 
 namespace graphlog::gov {
 struct GovernorContext;  // gov/governor.h
@@ -32,14 +38,37 @@ class ThreadPool;  // exec/thread_pool.h
 
 namespace graphlog::tc {
 
+/// \brief Statistics of one closure computation.
+struct TcStats {
+  uint64_t rounds = 0;        ///< sources expanded
+  uint64_t pair_visits = 0;   ///< candidate pairs generated (incl. dups)
+  /// True when a governed run stopped early because a resource budget
+  /// tripped with ResourceBudget::return_partial set; the returned
+  /// relation then holds the (deterministic) partial closure.
+  bool truncated = false;
+};
+
+/// \brief Every counter of TcStats, listed once; the kernel's registry
+/// export (ExportTcMetrics) is derived from it.
+inline constexpr obs::CounterField<TcStats> kTcCounters[] = {
+    {"tc.rounds", &TcStats::rounds},
+    {"tc.pair_visits", &TcStats::pair_visits},
+};
+
+/// \brief Folds one finished closure into `metrics` (nullable):
+/// `tc.invocations`, the kTcCounters of `stats`, and `output_pairs` into
+/// the `tc.output_pairs` distribution.
+void ExportTcMetrics(const TcStats& stats, size_t output_pairs,
+                     obs::MetricsRegistry* metrics);
+
 /// \brief Transitive closure of binary `edges` via per-source bitset
 /// BFS over a CSR snapshot, fanned across `num_threads` workers (0 =
-/// hardware concurrency). Result set equals TransitiveClosure's;
-/// insertion order is (source in first-appearance order, reached in
-/// ascending dense id) and identical across thread counts.
+/// hardware concurrency). Insertion order is (source in first-appearance
+/// order, reached in ascending dense id) and identical across thread
+/// counts. Fails with kInvalidArgument when arity != 2.
 ///
 /// When `metrics` is set the run is folded into the registry through
-/// ExportTcMetrics, like TransitiveClosure's.
+/// ExportTcMetrics.
 ///
 /// Governance: the `csr.build` point gates the CSR construction, every
 /// lane checks `tc.expand` per source claimed, and the cancellation token

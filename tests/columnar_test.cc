@@ -3,7 +3,7 @@
 // output (rows, insertion order, provenance, logical stats) between the
 // row path and the columnar path, at every thread count. The columnar
 // kernels (ColumnarTransitiveClosure, EvalRpqBitset) are checked
-// set-equal against their oracles (TcAlgorithm::kNaive, EvalRpq) and
+// set-equal against their oracles (the engine's naive fixpoint, EvalRpq) and
 // order-deterministic across thread counts.
 
 #include <gtest/gtest.h>
@@ -23,7 +23,6 @@
 #include "rpq/rpq_eval.h"
 #include "storage/database.h"
 #include "tc/columnar_tc.h"
-#include "tc/transitive_closure.h"
 #include "testing/random_programs.h"
 #include "tests/test_util.h"
 #include "workload/generators.h"
@@ -520,8 +519,7 @@ TEST(ColumnarTcTest, MatchesRowKernels) {
     const Relation* edges = db.Find("edge");
     ASSERT_NE(edges, nullptr);
 
-    ASSERT_OK_AND_ASSIGN(Relation naive, tc::TransitiveClosure(
-                                             *edges, tc::TcAlgorithm::kNaive));
+    ASSERT_OK_AND_ASSIGN(Relation naive, testutil::NaiveClosure(*edges));
     ASSERT_OK_AND_ASSIGN(Relation col, tc::ColumnarTransitiveClosure(*edges));
     EXPECT_TRUE(col.SetEquals(naive)) << "seed " << seed;
   }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "eval/engine.h"
+#include "gov/governor.h"
 #include "storage/database.h"
 #include "tests/test_util.h"
 
@@ -250,14 +251,17 @@ TEST(EvalEngineTest, SameGenerationFromPaper) {
 }
 
 TEST(EvalEngineTest, MaxIterationsGuard) {
-  // The mirrored closure runs the fixpoint, one round per chain hop.
+  // The mirrored closure runs the fixpoint, one round per chain hop; a
+  // strict max_rounds budget stops it with kBudgetExceeded.
   Database db = ChainDb(100);
+  gov::GovernorContext g;
+  g.budget.max_rounds = 3;
   EvalOptions opts;
-  opts.max_iterations = 3;
+  opts.governor = &g;
   auto r = EvaluateText("tc(X, Y) :- edge(X, Y).\n"
                         "tc(X, Z) :- tc(X, Y), edge(Y, Z).\n",
                         &db, opts);
-  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kBudgetExceeded);
 }
 
 TEST(EvalEngineTest, StatsAreReported) {

@@ -92,7 +92,6 @@ void RunMutant(QueryRequest req, const std::string& label) {
   g.budget.max_rounds = 200;
   g.budget.max_result_rows = 200'000;
   req.options.eval.governor = &g;
-  req.options.eval.max_iterations = 500;
   auto r = graphlog::Run(req, &db);
   if (!r.ok()) {
     EXPECT_NE(r.status().code(), StatusCode::kOk) << label;
@@ -333,12 +332,14 @@ TEST(FuzzRobustnessTest, ColumnarEngineMatchesRowEngineUnderInterleaving) {
       SCOPED_TRACE("round " + std::to_string(round));
       for (int i = 0; i < 3; ++i) mutate_both(&row_db, &col_db);
 
+      gov::GovernorContext g;
+      g.budget.max_rounds = 200;
       eval::EvalOptions row_opts;
-      row_opts.max_iterations = 200;
+      row_opts.governor = &g;
       ASSERT_OK(eval::EvaluateText(program, &row_db, row_opts).status());
 
       eval::EvalOptions col_opts;
-      col_opts.max_iterations = 200;
+      col_opts.governor = &g;
       col_opts.columnar = true;
       col_opts.csr_cache = &cache;
       col_opts.num_threads = (round % 2) == 0 ? 1 : 4;

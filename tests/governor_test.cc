@@ -26,7 +26,6 @@
 #include "storage/database.h"
 #include "storage/io.h"
 #include "tc/columnar_tc.h"
-#include "tc/transitive_closure.h"
 #include "tests/test_util.h"
 #include "workload/generators.h"
 
@@ -315,50 +314,43 @@ TEST(EngineGovernorTest, PoolTaskFaultPropagatesFromParallelLanes) {
 }
 
 // ---------------------------------------------------------------------------
-// TC kernels.
+// The TC kernel (tc::ColumnarTransitiveClosure), the columnar kernels and
+// the columnar engine path.
 
 TEST(TcGovernorTest, StrictBudgetFails) {
+  // A strict byte budget under the closure's estimate fails the kernel.
   Database db;
-  std::string text;
-  for (int i = 0; i < 50; ++i) {
-    text += "edge(n" + std::to_string(i) + ", n" + std::to_string(i + 1) +
-            ").\n";
-  }
-  ASSERT_OK(storage::LoadFacts(text, &db).status());
+  LoadChain(&db, 50);
   const Relation& edges = *db.Find("edge");
   gov::GovernorContext g;
-  g.budget.max_result_rows = 10;
+  g.budget.max_bytes = 10 * Relation::RowBytes(2);
   tc::TcStats stats;
-  auto r = tc::TransitiveClosure(edges, tc::TcAlgorithm::kSemiNaive, &stats,
-                                 nullptr, nullptr, &g);
+  auto r = tc::ColumnarTransitiveClosure(edges, 0, nullptr, &g, &stats);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kBudgetExceeded);
 }
 
 TEST(TcGovernorTest, PartialBudgetTruncates) {
+  // A return_partial row cap keeps the first `cap` rows of the
+  // unbudgeted closure.
   Database db;
-  std::string text;
-  for (int i = 0; i < 50; ++i) {
-    text += "edge(n" + std::to_string(i) + ", n" + std::to_string(i + 1) +
-            ").\n";
-  }
-  ASSERT_OK(storage::LoadFacts(text, &db).status());
+  LoadChain(&db, 50);
   const Relation& edges = *db.Find("edge");
+  ASSERT_OK_AND_ASSIGN(Relation full, tc::ColumnarTransitiveClosure(edges));
   gov::GovernorContext g;
-  g.budget.max_rounds = 2;
+  g.budget.max_result_rows = 30;
   g.budget.return_partial = true;
   tc::TcStats stats;
   ASSERT_OK_AND_ASSIGN(
       Relation closure,
-      tc::TransitiveClosure(edges, tc::TcAlgorithm::kSemiNaive, &stats,
-                            nullptr, nullptr, &g));
+      tc::ColumnarTransitiveClosure(edges, 0, nullptr, &g, &stats));
   EXPECT_TRUE(stats.truncated);
-  EXPECT_LT(closure.size(), 50u * 51u / 2u);
-  EXPECT_GT(closure.size(), 0u);
+  ASSERT_EQ(closure.size(), 30u);
+  EXPECT_LT(closure.size(), full.size());
+  for (size_t i = 0; i < closure.size(); ++i) {
+    EXPECT_EQ(closure.rows()[i], full.rows()[i]) << "row " << i;
+  }
 }
-
-// ---------------------------------------------------------------------------
-// Columnar kernels and the columnar engine path.
 
 TEST(ColumnarGovernorTest, StrictRowBudgetFails) {
   Database db;

@@ -380,5 +380,30 @@ TEST(MetricNamesAuditTest, EveryInstrumentNameHasOneSite) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// One fixpoint loop
+
+TEST(FixpointAuditTest, OnlyTheEngineExecutesRules) {
+  // Rule execution belongs to eval::Engine: a fixpoint anywhere else
+  // (the view catalog's refresh was one) escapes the governor, the lanes
+  // and the trace. Callers extend a fixpoint with eval::EvaluateGrowth.
+  size_t scanned = 0;
+  for (const auto& file :
+       std::filesystem::recursive_directory_iterator(GRAPHLOG_SRC_DIR)) {
+    const std::string ext = file.path().extension().string();
+    if (ext != ".h" && ext != ".cc") continue;
+    if (file.path().parent_path().filename() == "eval") continue;
+    ++scanned;
+    std::stringstream buf;
+    buf << std::ifstream(file.path()).rdbuf();
+    const std::string text = buf.str();
+    for (const char* call : {".Execute(", "->Execute(", "ExecutePartition("}) {
+      EXPECT_EQ(text.find(call), std::string::npos)
+          << file.path().string() << " calls " << call;
+    }
+  }
+  EXPECT_GE(scanned, 60u);  // the scan saw the tree
+}
+
 }  // namespace
 }  // namespace graphlog

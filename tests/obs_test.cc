@@ -9,13 +9,13 @@
 #include <algorithm>
 #include <string>
 
+#include "eval/engine.h"
 #include "graphlog/api.h"
 #include "obs/metrics.h"
 #include "obs/slow_query_log.h"
 #include "obs/trace.h"
 #include "rpq/rpq_eval.h"
 #include "storage/database.h"
-#include "tc/transitive_closure.h"
 #include "tests/test_util.h"
 #include "workload/generators.h"
 
@@ -421,28 +421,36 @@ TEST(QueryApiTest, IndexCountersSurviveMultiGraphQueries) {
 // Kernel spans (TC, RPQ)
 
 TEST(KernelSpanTest, TransitiveClosureRecordsTcSpan) {
+  // The engine serves the closure pair with the TC kernel in one round,
+  // whose span names the kernel and counts the closure's pairs.
   Database db;
   ASSERT_OK(workload::RandomDigraph(40, 120, 5, &db));
-  const storage::Relation* edges = db.Find(db.symbols().Lookup("edge"));
-  ASSERT_NE(edges, nullptr);
   Tracer tracer;
-  auto r = tc::TransitiveClosure(*edges, tc::TcAlgorithm::kSemiNaive,
-                                 nullptr, &tracer);
-  ASSERT_OK(r.status());
+  eval::EvalOptions opts;
+  opts.tracer = &tracer;
+  ASSERT_OK(eval::EvaluateText("tc(X, Y) :- edge(X, Y).\n"
+                               "tc(X, Y) :- edge(X, Z), tc(Z, Y).\n",
+                               &db, opts)
+                .status());
   TraceReport report = tracer.TakeReport();
-  ASSERT_EQ(report.spans.size(), 1u);
-  const Span& s = report.spans[0];
-  EXPECT_EQ(s.name, "tc");
-  ASSERT_EQ(s.notes.size(), 1u);
-  EXPECT_EQ(s.notes[0].second, "semi-naive");
-  bool saw_rounds = false;
-  for (const auto& [k, v] : s.attrs) {
-    if (k == "rounds") saw_rounds = v > 0;
-    if (k == "pairs") {
-      EXPECT_EQ(static_cast<size_t>(v), r->size());
+  const Span* round = nullptr;
+  for (const Span& s : report.spans) {
+    for (const Span& c : s.children) {
+      if (c.name == "round") round = &c;
     }
   }
-  EXPECT_TRUE(saw_rounds);
+  ASSERT_NE(round, nullptr);
+  ASSERT_FALSE(round->notes.empty());
+  EXPECT_EQ(round->notes[0].first, "kernel");
+  EXPECT_EQ(round->notes[0].second, eval::kTcKernelName);
+  bool saw_firings = false;
+  for (const auto& [k, v] : round->attrs) {
+    if (k == "firings") saw_firings = v > 0;
+    if (k == "derived") {
+      EXPECT_EQ(static_cast<size_t>(v), testutil::RelationSize(db, "tc"));
+    }
+  }
+  EXPECT_TRUE(saw_firings);
 }
 
 TEST(KernelSpanTest, RpqRecordsSearchEffort) {

@@ -19,6 +19,7 @@
 #include "cache/result_cache.h"
 #include "columnar/csr_cache.h"
 #include "eval/engine.h"
+#include "gov/governor.h"
 #include "graphlog/api.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
@@ -225,6 +226,12 @@ TEST(ProfileTest, ExplainLabelsUpperStrataPreRunAndAppendsAnalyze) {
 // ---------------------------------------------------------------------------
 // RelationStats: incremental maintenance and invalidation.
 
+/// The catalog's stats for `edge` if current, without refreshing them.
+const RelationStats* PeekEdge(const Database& db) {
+  const Symbol edge = db.symbols().Lookup("edge");
+  return db.stats_catalog().Peek(edge, *db.Find(edge));
+}
+
 TEST(RelationStatsTest, ComputesPerColumnDistinctAndDegrees) {
   Database db;
   ASSERT_OK(db.AddSymFact("edge", {"a", "b"}));
@@ -242,19 +249,18 @@ TEST(RelationStatsTest, ComputesPerColumnDistinctAndDegrees) {
 TEST(RelationStatsTest, InsertInvalidatesAndRefreshAbsorbsTheSuffix) {
   Database db;
   ASSERT_OK(db.AddSymFact("edge", {"a", "b"}));
-  const Relation* rel = db.Find("edge");
   ASSERT_NE(db.StatsFor("edge"), nullptr);
-  EXPECT_NE(db.stats_catalog().Peek(*rel), nullptr);
+  EXPECT_NE(PeekEdge(db), nullptr);
   // A new row stales the stamp; the next StatsFor absorbs just the
   // appended suffix and is current again.
   ASSERT_OK(db.AddSymFact("edge", {"a", "c"}));
-  EXPECT_EQ(db.stats_catalog().Peek(*rel), nullptr);
+  EXPECT_EQ(PeekEdge(db), nullptr);
   const RelationStats* st = db.StatsFor("edge");
   ASSERT_NE(st, nullptr);
   EXPECT_EQ(st->rows(), 2u);
   EXPECT_EQ(st->distinct(1), 2u);
   EXPECT_EQ(st->max_degree(0), 2u);
-  EXPECT_NE(db.stats_catalog().Peek(*rel), nullptr);
+  EXPECT_NE(PeekEdge(db), nullptr);
 }
 
 TEST(RelationStatsTest, ClearAndTruncateForceRecompute) {
@@ -267,14 +273,14 @@ TEST(RelationStatsTest, ClearAndTruncateForceRecompute) {
   ASSERT_NE(rel, nullptr);
 
   rel->TruncateTo(1);
-  EXPECT_EQ(db.stats_catalog().Peek(*rel), nullptr);
+  EXPECT_EQ(PeekEdge(db), nullptr);
   const RelationStats* st = db.StatsFor("edge");
   ASSERT_NE(st, nullptr);
   EXPECT_EQ(st->rows(), 1u);
   EXPECT_EQ(st->distinct(0), 1u);
 
   rel->Clear();
-  EXPECT_EQ(db.stats_catalog().Peek(*rel), nullptr);
+  EXPECT_EQ(PeekEdge(db), nullptr);
   st = db.StatsFor("edge");
   ASSERT_NE(st, nullptr);
   EXPECT_EQ(st->rows(), 0u);
@@ -287,10 +293,34 @@ TEST(RelationStatsTest, DropIndexesDoesNotInvalidate) {
   ASSERT_OK(db.AddSymFact("edge", {"a", "b"}));
   const Relation* rel = db.Find("edge");
   ASSERT_NE(db.StatsFor("edge"), nullptr);
-  ASSERT_NE(db.stats_catalog().Peek(*rel), nullptr);
+  ASSERT_NE(PeekEdge(db), nullptr);
   // Index teardown is structural, not data: the stats stay served.
   rel->DropIndexes();
-  EXPECT_NE(db.stats_catalog().Peek(*rel), nullptr);
+  EXPECT_NE(PeekEdge(db), nullptr);
+}
+
+TEST(RelationStatsTest, RolledBackRunsLeaveNoStatsBehind) {
+  // Each run plans r against the closure p it derived, then trips the
+  // row budget and rolls back, removing p and r: their statistics must
+  // go with them.
+  Database db;
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_OK(db.AddSymFact("e", {"n" + std::to_string(i),
+                                  "n" + std::to_string(i + 1)}));
+  }
+  gov::GovernorContext g;
+  g.budget.max_result_rows = 1000;
+  QueryRequest req = QueryRequest::Datalog(
+      "p(X, Y) :- e(X, Y). p(X, Y) :- e(X, Z), p(Z, Y).\n"
+      "r(X, Y) :- p(X, Z), p(Z, Y).\n");
+  req.options.eval.governor = &g;
+  for (int run = 0; run < 5; ++run) {
+    SCOPED_TRACE("run " + std::to_string(run));
+    EXPECT_EQ(graphlog::Run(req, &db).status().code(),
+              StatusCode::kBudgetExceeded);
+    EXPECT_EQ(db.relations().size(), 1u);
+    EXPECT_LE(db.stats_catalog().size(), db.relations().size());
+  }
 }
 
 TEST(RelationStatsTest, EstimateMatchesDividesByDistinct) {

@@ -19,7 +19,6 @@
 #include "graphlog/query_graph.h"
 #include "rpq/rpq_eval.h"
 #include "storage/database.h"
-#include "tc/transitive_closure.h"
 #include "testing/equivalence.h"
 #include "testing/random_programs.h"
 #include "tests/test_util.h"
@@ -150,9 +149,8 @@ TEST(TcPanelTest, DatalogEngineAgreesWithTcKernels) {
                                  "tc(X, Y) :- edge(X, Z), tc(Z, Y).\n",
                                  &db)
                   .status());
-    ASSERT_OK_AND_ASSIGN(
-        Relation oracle,
-        tc::TransitiveClosure(*db.Find("edge"), tc::TcAlgorithm::kNaive));
+    ASSERT_OK_AND_ASSIGN(Relation oracle,
+                         testutil::NaiveClosure(*db.Find("edge")));
     EXPECT_TRUE(db.Find("tc")->SetEquals(oracle)) << "seed " << seed;
   }
 }

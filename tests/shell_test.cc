@@ -227,7 +227,7 @@ result cache on (64 MiB budget)
 2 tuples derived (1 graphs translated, 0 summarized)
 (result cache hit)
 2 tuples derived (1 graphs translated, 0 summarized)
-result cache on (budget 67108864): 1 hits, 0 replays, 1 misses, 0 evictions, 1 inserts, 0 rejected, 1773 bytes, 1 entries
+result cache on (budget 67108864): 1 hits, 0 replays, 1 misses, 0 evictions, 1 inserts, 0 rejected, 1757 bytes, 1 entries
 result cache off
 armed eval.round
 armed pool.task

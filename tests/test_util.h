@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "eval/engine.h"
 #include "storage/database.h"
 
 #define ASSERT_OK(expr)                                         \
@@ -51,6 +52,22 @@ inline std::set<std::string> RelationSet(const storage::Database& db,
     out.insert(s);
   }
   return out;
+}
+
+/// \brief The positive closure of binary `edges` by the engine's plain
+/// fixpoint: Strategy::kNaive over the right-linear TC pair, which the
+/// TC kernel never serves. The TC oracle.
+inline Result<storage::Relation> NaiveClosure(
+    const storage::Relation& edges) {
+  storage::Database db;
+  db.relations().emplace(db.Intern("edge"), edges);
+  eval::EvalOptions opts;
+  opts.strategy = eval::Strategy::kNaive;
+  GRAPHLOG_RETURN_NOT_OK(eval::EvaluateText("tc(X, Y) :- edge(X, Y).\n"
+                                            "tc(X, Y) :- edge(X, Z), tc(Z, Y).\n",
+                                            &db, opts)
+                             .status());
+  return *db.Find("tc");
 }
 
 /// \brief Number of tuples in a relation (0 when absent).
